@@ -8,7 +8,8 @@ cells. Cells outside the window count as infinitely heavy.
 """
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from collections import OrderedDict
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -100,12 +101,58 @@ def polyline_cost(weights: WeightMap, points: Sequence[Point]) -> float:
     return sum(segment_cost(weights, p, q) for p, q in zip(points, points[1:]))
 
 
+class _Walk(NamedTuple):
+    """The walk from the origin corner to one displacement, as piece arrays.
+
+    Collinear pieces carry both incident cells; interior pieces carry their
+    cell twice, so pricing takes the min over (cells_a, cells_b) uniformly.
+    """
+
+    lengths: np.ndarray
+    cells_a: np.ndarray
+    cells_b: np.ndarray
+
+
+# Walks keyed by corner displacement (dj, di). A walk between lattice corners
+# depends only on their difference: the walk from a to a + d is the walk from
+# the origin to d with every cell shifted by (a_j, a_i). Entries are pure
+# geometry, shared by every window shape, and the set grows only with the
+# largest window extent in use.
+_WALKS: Dict[Tuple[int, int], _Walk] = {}
+
+
+def _origin_walk(dj: int, di: int) -> _Walk:
+    """The library's walk to displacement (dj, di), walked on first use."""
+    walk = _WALKS.get((dj, di))
+    if walk is None:
+        lengths: List[float] = []
+        cells_a: List[Cell] = []
+        cells_b: List[Cell] = []
+        for rec in segment_walk((0.0, 0.0), corner_position((di, dj))):
+            if rec.kind == EDGE_COLLINEAR:
+                ca, cb = edge_cells(rec.edge)
+            else:
+                ca = cb = rec.cell
+            lengths.append(math.dist(rec.entry, rec.exit))
+            cells_a.append(ca)
+            cells_b.append(cb)
+        walk = _WALKS[(dj, di)] = _Walk(
+            np.array(lengths),
+            np.array(cells_a, dtype=np.int64).reshape(-1, 2),
+            np.array(cells_b, dtype=np.int64).reshape(-1, 2),
+        )
+    return walk
+
+
 class CornerHopTable:
     """Flattened walk pieces for every pair of window corners.
 
     The walks depend only on the window shape, so one table serves every
     weight map of that shape; pricing all pairs under a map reduces to a
-    couple of vectorized array operations.
+    couple of vectorized array operations. Pairs (a, b) with a before b in
+    corner order have b - a in canonical form (dj > 0, or dj == 0 and
+    di > 0), so each pair's pieces are gathered from the shared origin walk
+    of its displacement and shifted onto a.
     """
 
     def __init__(self, tess: Tessellation):
@@ -113,31 +160,31 @@ class CornerHopTable:
         self.cols = tess.cols
         self.corners = tess.corners
         n = len(self.corners)
-        positions = [corner_position(c) for c in self.corners]
-        pairs: List[Tuple[int, int]] = []
-        pair_idx: List[int] = []
-        lengths: List[float] = []
-        cells_a: List[Cell] = []
-        cells_b: List[Cell] = []
-        for ai in range(n):
-            for bi in range(ai + 1, n):
-                k = len(pairs)
-                pairs.append((ai, bi))
-                for rec in segment_walk(positions[ai], positions[bi]):
-                    if rec.kind == EDGE_COLLINEAR:
-                        ca, cb = edge_cells(rec.edge)
-                    else:
-                        ca = cb = rec.cell
-                    pair_idx.append(k)
-                    lengths.append(math.dist(rec.entry, rec.exit))
-                    cells_a.append(ca)
-                    cells_b.append(cb)
+        ci = np.array([c[0] for c in self.corners], dtype=np.int64)
+        cj = np.array([c[1] for c in self.corners], dtype=np.int64)
+        ai, bi = np.triu_indices(n, k=1)
+        dj, di = cj[bi] - cj[ai], ci[bi] - ci[ai]
+        # dj >= 0 and |di| <= cols + 1, so this key is unique per displacement
+        keys = dj * (2 * self.cols + 5) + di
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        walks = [_origin_walk(int(dj[k]), int(di[k])) for k in first]
+        counts = np.array([len(w.lengths) for w in walks], dtype=np.int64)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+
+        per_pair = counts[inverse]
+        pair_idx = np.repeat(np.arange(len(ai), dtype=np.int64), per_pair)
+        # a pair's pieces are its walk's pieces in order, so each pair's block
+        # of the table maps onto its walk's block of the concatenated walks
+        offset = starts[inverse] - (np.cumsum(per_pair) - per_pair)
+        src = np.arange(len(pair_idx)) + offset[pair_idx]
+        shift = np.stack((cj, ci), axis=1)[ai[pair_idx]]
+
         self.n_corners = n
-        self.pairs = np.array(pairs, dtype=np.int32)
-        self.pair_idx = np.array(pair_idx, dtype=np.int64)
-        self.lengths = np.array(lengths)
-        self.cells_a = np.array(cells_a, dtype=np.int64)
-        self.cells_b = np.array(cells_b, dtype=np.int64)
+        self.pairs = np.stack((ai, bi), axis=1).astype(np.int32)
+        self.pair_idx = pair_idx
+        self.lengths = np.concatenate([w.lengths for w in walks])[src]
+        self.cells_a = np.concatenate([w.cells_a for w in walks])[src] + shift
+        self.cells_b = np.concatenate([w.cells_b for w in walks])[src] + shift
 
     def cost_matrix(self, weights: WeightMap) -> np.ndarray:
         """Dense symmetric matrix of straight-hop costs between all corners."""
@@ -163,7 +210,11 @@ def _effective_array(weights: WeightMap, cells: np.ndarray) -> np.ndarray:
     return out
 
 
-_HOP_TABLES: Dict[Tuple[int, int], CornerHopTable] = {}
+# Tables kept per window shape, least recently used first. A table holds
+# every pair's pieces, O(n_corners^2 * walk length) memory, so only a few stay
+# resident; rebuilding an evicted one costs gathers from the walk library.
+HOP_TABLE_CACHE_SIZE = 8
+_HOP_TABLES: "OrderedDict[Tuple[int, int], CornerHopTable]" = OrderedDict()
 
 
 def corner_hop_table(tess: Tessellation) -> CornerHopTable:
@@ -172,4 +223,8 @@ def corner_hop_table(tess: Tessellation) -> CornerHopTable:
     table = _HOP_TABLES.get(key)
     if table is None:
         table = _HOP_TABLES[key] = CornerHopTable(tess)
+        if len(_HOP_TABLES) > HOP_TABLE_CACHE_SIZE:
+            _HOP_TABLES.popitem(last=False)
+    else:
+        _HOP_TABLES.move_to_end(key)
     return table

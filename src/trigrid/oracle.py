@@ -21,6 +21,7 @@ import numpy as np
 from .grid_paths import UnreachableError, _check_endpoints
 from .metric import WeightMap, corner_hop_table, edge_weight
 from .tessellation import (
+    Cell,
     Corner,
     Edge,
     Point,
@@ -34,6 +35,9 @@ from .tessellation import (
 
 DEFAULT_REL_TOL = 1e-6
 DEFAULT_MAX_LEVEL = 7
+# Largest Steiner graph built, in nodes: corners plus 2**level - 1 per edge of
+# a finite cell. Level 7 on a 24x24 window needs about 115,000.
+MAX_STEINER_NODES = 2_000_000
 
 # vertex m of a cell lies on these slots of cell_edges(cell)
 _VERTEX_EDGE_SLOTS = ((0, 2), (0, 1), (1, 2))
@@ -63,17 +67,13 @@ class _CellClique:
 
 class _SteinerGraph:
     def __init__(self, tess: Tessellation, weights: WeightMap, level: int):
-        if level < 0:
-            raise ValueError("refinement level must be non-negative")
+        finite_cells, edges = _steiner_support(tess, weights, level)
         self.tess = tess
         self.corners = tess.corners
         n_corners = len(self.corners)
         self.n_corners = n_corners
         self.hop_matrix = corner_hop_table(tess).cost_matrix(weights)
 
-        finite_cells = [
-            cell for cell in tess.cells if not math.isinf(weights.effective(cell))
-        ]
         per_edge = 2 ** level - 1
         fractions = np.arange(1, per_edge + 1) / float(2 ** level)
 
@@ -81,17 +81,14 @@ class _SteinerGraph:
         ys: List[float] = [corner_position(c)[1] for c in self.corners]
         edge_nodes: Dict[Edge, np.ndarray] = {}
         node_edge: List[Edge] = []
-        for cell in finite_cells:
-            for edge in cell_edges(cell):
-                if edge in edge_nodes:
-                    continue
-                (ax, ay), (bx, by) = corner_position(edge[0]), corner_position(edge[1])
-                first = len(xs)
-                for f in fractions:
-                    xs.append(ax + f * (bx - ax))
-                    ys.append(ay + f * (by - ay))
-                    node_edge.append(edge)
-                edge_nodes[edge] = np.arange(first, first + per_edge, dtype=np.int64)
+        for edge in edges:
+            (ax, ay), (bx, by) = corner_position(edge[0]), corner_position(edge[1])
+            first = len(xs)
+            for f in fractions:
+                xs.append(ax + f * (bx - ax))
+                ys.append(ay + f * (by - ay))
+                node_edge.append(edge)
+            edge_nodes[edge] = np.arange(first, first + per_edge, dtype=np.int64)
 
         self.x = np.array(xs)
         self.y = np.array(ys)
@@ -206,6 +203,31 @@ class _SteinerGraph:
             heapq.heappush(heap, (val, node))
 
 
+def _steiner_support(
+    tess: Tessellation, weights: WeightMap, level: int
+) -> Tuple[List[Cell], List[Edge]]:
+    """The finite cells and their distinct edges, in first-seen order.
+
+    Refuses a level whose Steiner graph would exceed MAX_STEINER_NODES,
+    before anything of that size is allocated.
+    """
+    if level < 0:
+        raise ValueError("refinement level must be non-negative")
+    finite_cells = [cell for cell in tess.cells if not math.isinf(weights.effective(cell))]
+    edges = list(dict.fromkeys(edge for cell in finite_cells for edge in cell_edges(cell)))
+    # the per-edge fractions are laid out even with no edges; clamping the
+    # exponent keeps a huge level from building a huge integer, and any
+    # clamped count is already over budget
+    per_edge = 2 ** min(level, MAX_STEINER_NODES.bit_length()) - 1
+    nodes = len(tess.corners) + max(len(edges), 1) * per_edge
+    if nodes > MAX_STEINER_NODES:
+        raise ValueError(
+            f"refinement level {level} needs more than the budget of "
+            f"{MAX_STEINER_NODES} Steiner nodes"
+        )
+    return finite_cells, edges
+
+
 def approx_shortest_path(
     tess: Tessellation, weights: WeightMap, s: Corner, t: Corner, level: int = 3
 ) -> OracleResult:
@@ -236,10 +258,11 @@ def refine_until(
     Costs are non-increasing in the level, so the loop stops at the first
     level whose improvement over the previous one is small enough; the
     result is flagged converged. Hitting max_level first leaves the flag
-    unset.
+    unset. A max_level beyond the node budget is refused up front.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
+    _steiner_support(tess, weights, max_level)
     prev = approx_shortest_path(tess, weights, s, t, level=0)
     if prev.cost == 0.0:
         return prev

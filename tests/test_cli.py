@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -60,6 +62,11 @@ class TestSolve:
 
     def test_unknown_method_exits_1(self, strip5, capsys):
         assert main(["solve", strip5, "--method", "dijkstra"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--steiner-level", "--max-level"])
+    def test_level_over_node_budget_exits_1(self, strip5, flag, capsys):
+        assert main(["solve", strip5, "--method", "sp", flag, "64"]) == 1
+        assert "budget" in capsys.readouterr().err
 
     def test_svg_side_output(self, strip5, tmp_path, capsys):
         out = tmp_path / "strip.svg"
@@ -124,6 +131,44 @@ class TestVerify:
         assert main(["verify", "bounds", "--trials", "3", "--seed", "5", "--jobs", "2"]) == 0
         parallel = capsys.readouterr().out
         assert serial == parallel
+
+    @pytest.mark.parametrize("cores, expected", [(2, 2), (None, 1)])
+    def test_jobs_capped_at_core_count(self, cores, expected, capsys, monkeypatch):
+        seen = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, runs in-process."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert main(["verify", "bounds", "--trials", "2", "--seed", "5", "--jobs", "64"]) == 0
+        assert seen == [expected]
+        assert "bounds: 2 trials, 0 violations" in capsys.readouterr().out
+
+    def test_violation_line_names_trial_and_instance(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "trigrid.cli._verify_trial", lambda suite, seed, trial, rel_tol: (trial, ["boom"])
+        )
+        assert main(["verify", "bounds", "--trials", "4", "--seed", "2"]) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            "violation trial=0 instance=random-3x4-s200006: boom",
+            "violation trial=1 instance=random-4x5-s200007: boom",
+            "violation trial=2 instance=random-5x6-s200008: boom",
+            "violation trial=3 instance=maze-6x6-s200009: boom",
+            "bounds: 4 trials, 4 violations",
+        ]
 
     def test_zero_trials_exits_1(self, capsys):
         assert main(["verify", "bounds", "--trials", "0"]) == 1

@@ -1,10 +1,13 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from trigrid import metric
 from trigrid.metric import (
+    HOP_TABLE_CACHE_SIZE,
     CornerHopTable,
     WeightMap,
     corner_hop_table,
@@ -13,7 +16,7 @@ from trigrid.metric import (
     polyline_cost,
     segment_cost,
 )
-from trigrid.tessellation import SQRT3, Tessellation, corner_position
+from trigrid.tessellation import SQRT3, Tessellation, corner_position, segment_walk
 
 INF = math.inf
 
@@ -130,6 +133,40 @@ def test_hop_table_cache_shared():
         t1.cost_matrix(weight_map_3x4())
 
 
+def test_hop_table_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(metric, "_HOP_TABLES", OrderedDict())
+    assert HOP_TABLE_CACHE_SIZE >= 8
+    w = WeightMap([[1.5, INF, 0.25]])
+    first = corner_hop_table(Tessellation(1, 3))
+    before = first.cost_matrix(w)
+    for cols in range(4, 4 + HOP_TABLE_CACHE_SIZE):
+        corner_hop_table(Tessellation(1, cols))
+    assert len(metric._HOP_TABLES) == HOP_TABLE_CACHE_SIZE
+    assert (1, 3) not in metric._HOP_TABLES
+    rebuilt = corner_hop_table(Tessellation(1, 3))
+    assert rebuilt is not first
+    assert np.array_equal(rebuilt.cost_matrix(w), before)
+    # a hit makes the table most recent, so the next eviction takes another
+    corner_hop_table(Tessellation(1, 5))
+    corner_hop_table(Tessellation(2, 1))
+    assert (1, 5) in metric._HOP_TABLES
+    assert (1, 4) not in metric._HOP_TABLES and (1, 6) not in metric._HOP_TABLES
+
+
+def test_hop_tables_share_walks_across_shapes(monkeypatch):
+    CornerHopTable(Tessellation(12, 12))
+    calls = []
+
+    def counting_walk(p, q):
+        calls.append((p, q))
+        return segment_walk(p, q)
+
+    monkeypatch.setattr(metric, "segment_walk", counting_walk)
+    for rows, cols in ((12, 11), (7, 12), (12, 12)):
+        CornerHopTable(Tessellation(rows, cols))
+    assert calls == []
+
+
 def test_hop_table_scale_invariance():
     tess = Tessellation(3, 4)
     rng = np.random.default_rng(3)
@@ -157,3 +194,26 @@ def test_segment_cost_symmetric(p, q, seed):
         assert math.isinf(fwd) and math.isinf(bwd)
     else:
         assert fwd == pytest.approx(bwd, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.floats(0.0, 0.4),
+    st.integers(0, 2**31 - 1),
+)
+@example(1, 9, 0.3, 1)
+@example(9, 1, 0.3, 2)
+def test_hop_table_matches_segment_cost_on_random_windows(rows, cols, inf_prob, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=(rows, cols)))
+    vals[rng.random((rows, cols)) < inf_prob] = INF
+    w = WeightMap(vals)
+    tess = Tessellation(rows, cols)
+    m = corner_hop_table(tess).cost_matrix(w)
+    pos = [corner_position(c) for c in tess.corners]
+    direct = np.array([[segment_cost(w, p, q) if p != q else 0.0 for q in pos] for p in pos])
+    assert np.array_equal(np.isinf(m), np.isinf(direct))
+    finite = np.isfinite(direct)
+    np.testing.assert_allclose(m[finite], direct[finite], rtol=1e-12, atol=0.0)

@@ -10,7 +10,12 @@ from trigrid.grid_paths import (
     shortest_vertex_path,
 )
 from trigrid.metric import WeightMap, polyline_cost
-from trigrid.oracle import OracleResult, approx_shortest_path, refine_until
+from trigrid.oracle import (
+    OracleResult,
+    _steiner_support,
+    approx_shortest_path,
+    refine_until,
+)
 from trigrid.tessellation import SQRT3, Tessellation, corner_position
 
 INF = math.inf
@@ -131,3 +136,27 @@ def test_max_level_zero_returns_vertex_path_cost():
     assert res.cost == pytest.approx(svp.cost, abs=1e-12)
     assert res.level == 0
     assert not res.converged
+
+
+def test_levels_over_node_budget_are_refused_before_building():
+    # 1x1 window: 3 corners and 3 edges, so level 20 needs 3 * 2**20 nodes
+    tess, w = Tessellation(1, 1), WeightMap([[1.0]])
+    for level in (20, 64):
+        with pytest.raises(ValueError, match="budget"):
+            approx_shortest_path(tess, w, (0, 0), (2, 0), level=level)
+    with pytest.raises(ValueError, match="budget"):
+        refine_until(tess, w, (0, 0), (2, 0), max_level=64)
+    # a fully blocked window has no edge nodes, but the level is still refused
+    blocked = WeightMap(np.full((2, 2), INF))
+    with pytest.raises(ValueError, match="budget"):
+        approx_shortest_path(Tessellation(2, 2), blocked, (0, 0), (2, 2), level=64)
+
+
+def test_node_budget_admits_level_7_on_24x24():
+    tess = Tessellation(24, 24)
+    ones = WeightMap(np.ones((24, 24)))
+    cells, edges = _steiner_support(tess, ones, 7)
+    assert len(cells) == 24 * 24
+    assert len(tess.corners) + len(edges) * (2**7 - 1) < 120_000
+    with pytest.raises(ValueError, match="budget"):
+        _steiner_support(tess, ones, 12)
