@@ -175,6 +175,10 @@ def _check_oracle(inst: Instance, trial: int) -> List[str]:
         if b > a + 1e-9:
             out.append(f"level costs not monotone: {costs}")
             break
+    # level 0 is the complete corner graph, so it must agree with SVP
+    svp = shortest_vertex_path(tess, weights, inst.source, inst.target).cost
+    if abs(costs[0] - svp) > 1e-12 * abs(svp):
+        out.append(f"level 0 cost {costs[0]!r} differs from vertex path {svp!r}")
     if trial % 10 == 0:
         uniform = WeightMap([[2.0] * 4 for _ in range(3)])
         unit = Tessellation(3, 4)

@@ -4,13 +4,20 @@ Two solvers share the corner set but differ in moves. The grid-path solver
 walks single lattice edges between adjacent corners. The vertex-path solver
 may hop in a straight line between any two corners, paying the weighted
 length of the segment, so its moves form a complete graph priced by the
-metric. Both resolve cost ties toward smaller (j, i) corner keys, which
-makes results reproducible.
+metric. Both settle corners in (cost, (j, i) key) order, so a tie between
+bit-equal costs goes to the smaller key and results are reproducible. That
+order decides nothing between costs that differ in the last bit: a hop and
+the same segment split at a collinear corner trace one polyline, but their
+float sums can round apart, and then the cheaper rounding is reported.
+
+The vertex-path solver and the Steiner oracle share one search kernel,
+_frontier_search: a Dijkstra that keeps unsettled tentative distances in a
+dense array and settles its first minimum, with no heap.
 """
 
 import heapq
 import math
-from typing import Dict, NamedTuple, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -76,6 +83,55 @@ def shortest_grid_path(
     raise UnreachableError(f"no finite-cost grid path from {s!r} to {t!r}")
 
 
+# A node's out-arcs as (heads, costs) blocks: heads an index array, costs the
+# arc costs to them, of the same shape. A head may repeat within a block only
+# with bit-equal costs, since one masked write keeps either copy.
+_Arcs = Callable[[int], Iterable[Tuple[np.ndarray, np.ndarray]]]
+
+
+def _frontier_search(
+    n: int, si: int, ti: int, arcs: _Arcs
+) -> Tuple[float, List[int], int]:
+    """Dijkstra from node si to node ti over nodes 0..n-1.
+
+    frontier[v] holds the tentative distance of each reached, unsettled
+    node and infinity otherwise; each step settles its first minimum, which
+    is the (cost, node id) order a binary heap of (cost, id) pairs pops.
+    A relaxation writes only strictly improved entries, so all blocks of one
+    node's arcs leave the minimum of their candidates whatever their order.
+    Returns the cost, the node path and the number of nodes settled; cost
+    and path are (inf, []) when ti is unreachable.
+    """
+    dist = np.full(n, np.inf)
+    parent = np.full(n, -1, dtype=np.int64)
+    frontier = np.full(n, np.inf)
+    dist[si] = frontier[si] = 0.0
+    settled = 0
+    while True:
+        u = int(frontier.argmin())
+        d = frontier[u]
+        if d == np.inf:
+            return (math.inf, [], settled)
+        settled += 1
+        if u == ti:
+            break
+        frontier[u] = np.inf
+        for heads, costs in arcs(u):
+            nd = d + costs
+            better = nd < dist[heads]
+            lower = heads[better]
+            if lower.size:
+                vals = nd[better]
+                dist[lower] = vals
+                frontier[lower] = vals
+                parent[lower] = u
+    path = [ti]
+    while path[-1] != si:
+        path.append(int(parent[path[-1]]))
+    path.reverse()
+    return (float(dist[ti]), path, settled)
+
+
 def shortest_vertex_path(
     tess: Tessellation, weights: WeightMap, s: Corner, t: Corner
 ) -> PathResult:
@@ -89,25 +145,10 @@ def shortest_vertex_path(
         return PathResult((s,), 0.0)
     corners = tess.corners
     m = corner_hop_table(tess).cost_matrix(weights)
-    n = len(corners)
-    si, ti = tess.corner_ids[s], tess.corner_ids[t]
-    dist = np.full(n, np.inf)
-    parent = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
-    dist[si] = 0.0
-    while True:
-        masked = np.where(done, np.inf, dist)
-        u = int(np.argmin(masked))  # first minimum, i.e. smallest (j, i)
-        if math.isinf(masked[u]):
-            raise UnreachableError(f"no finite-cost vertex path from {s!r} to {t!r}")
-        if u == ti:
-            break
-        done[u] = True
-        nd = dist[u] + m[u]
-        better = nd < dist
-        parent[better] = u
-        dist[better] = nd[better]
-    path = [ti]
-    while path[-1] != si:
-        path.append(int(parent[path[-1]]))
-    return PathResult(tuple(corners[k] for k in reversed(path)), float(dist[ti]))
+    heads = np.arange(len(corners))
+    cost, path, _ = _frontier_search(
+        len(corners), tess.corner_ids[s], tess.corner_ids[t], lambda u: ((heads, m[u]),)
+    )
+    if math.isinf(cost):
+        raise UnreachableError(f"no finite-cost vertex path from {s!r} to {t!r}")
+    return PathResult(tuple(corners[k] for k in path), cost)

@@ -138,8 +138,8 @@ def _origin_walk(dj: int, di: int) -> _Walk:
             cells_b.append(cb)
         walk = _WALKS[(dj, di)] = _Walk(
             np.array(lengths),
-            np.array(cells_a, dtype=np.int64).reshape(-1, 2),
-            np.array(cells_b, dtype=np.int64).reshape(-1, 2),
+            np.array(cells_a, dtype=np.int32).reshape(-1, 2),
+            np.array(cells_b, dtype=np.int32).reshape(-1, 2),
         )
     return walk
 
@@ -152,7 +152,8 @@ class CornerHopTable:
     couple of vectorized array operations. Pairs (a, b) with a before b in
     corner order have b - a in canonical form (dj > 0, or dj == 0 and
     di > 0), so each pair's pieces are gathered from the shared origin walk
-    of its displacement and shifted onto a.
+    of its displacement and shifted onto a. Piece arrays are int32 where
+    they index, 28 bytes per piece with the float lengths.
     """
 
     def __init__(self, tess: Tessellation):
@@ -160,8 +161,7 @@ class CornerHopTable:
         self.cols = tess.cols
         self.corners = tess.corners
         n = len(self.corners)
-        ci = np.array([c[0] for c in self.corners], dtype=np.int64)
-        cj = np.array([c[1] for c in self.corners], dtype=np.int64)
+        ci, cj = tess.corner_array.T
         ai, bi = np.triu_indices(n, k=1)
         dj, di = cj[bi] - cj[ai], ci[bi] - ci[ai]
         # dj >= 0 and |di| <= cols + 1, so this key is unique per displacement
@@ -172,12 +172,12 @@ class CornerHopTable:
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
         per_pair = counts[inverse]
-        pair_idx = np.repeat(np.arange(len(ai), dtype=np.int64), per_pair)
+        pair_idx = np.repeat(np.arange(len(ai), dtype=np.int32), per_pair)
         # a pair's pieces are its walk's pieces in order, so each pair's block
         # of the table maps onto its walk's block of the concatenated walks
         offset = starts[inverse] - (np.cumsum(per_pair) - per_pair)
         src = np.arange(len(pair_idx)) + offset[pair_idx]
-        shift = np.stack((cj, ci), axis=1)[ai[pair_idx]]
+        shift = np.stack((cj, ci), axis=1).astype(np.int32)[ai[pair_idx]]
 
         self.n_corners = n
         self.pairs = np.stack((ai, bi), axis=1).astype(np.int32)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
 
@@ -368,6 +370,19 @@ class Tessellation:
     @cached_property
     def corner_ids(self) -> Dict[Corner, int]:
         return {c: k for k, c in enumerate(self.corners)}
+
+    @cached_property
+    def corner_array(self) -> np.ndarray:
+        """(n, 2) array of the corners' (i, j), in corner order."""
+        return np.array(self.corners, dtype=np.int64).reshape(-1, 2)
+
+    @cached_property
+    def corner_grid(self) -> np.ndarray:
+        """Corner ids indexed [j, i]; -1 where no window corner sits."""
+        grid = np.full((self.rows + 1, self.cols + 2), -1, dtype=np.int64)
+        i, j = self.corner_array.T
+        grid[j, i] = np.arange(len(i))
+        return grid
 
     def corner_neighbors(self, corner: Corner) -> List[Corner]:
         """Valid grid-graph neighbours of a corner, sorted by (j, i)."""

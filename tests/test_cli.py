@@ -125,6 +125,24 @@ class TestVerify:
         assert main(["verify", "oracle", "--trials", "3", "--seed", "1"]) == 0
         assert "0 violations" in capsys.readouterr().out
 
+    def test_oracle_suite_checks_level_zero_against_vertex_path(self, capsys, monkeypatch):
+        from trigrid import cli
+        from trigrid.grid_paths import shortest_vertex_path
+
+        args = ["verify", "oracle", "--trials", "3", "--seed", "1"]
+        assert main(args) == 0
+        assert "oracle: 3 trials, 0 violations" in capsys.readouterr().out
+
+        def off_by_a_part_in_1e9(*a):
+            res = shortest_vertex_path(*a)
+            return res._replace(cost=res.cost * (1.0 + 1e-9))
+
+        monkeypatch.setattr(cli, "shortest_vertex_path", off_by_a_part_in_1e9)
+        assert main(args) == 3
+        out = capsys.readouterr().out
+        assert "differs from vertex path" in out
+        assert "oracle: 3 trials, 3 violations" in out
+
     def test_jobs_do_not_change_output(self, capsys):
         assert main(["verify", "bounds", "--trials", "3", "--seed", "5"]) == 0
         serial = capsys.readouterr().out

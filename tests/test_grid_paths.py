@@ -8,6 +8,7 @@ from trigrid.grid_paths import (
     InvalidCornerError,
     PathResult,
     UnreachableError,
+    _frontier_search,
     shortest_grid_path,
     shortest_vertex_path,
 )
@@ -110,3 +111,16 @@ def test_scale_invariance_power_of_two(seed):
     scaled = shortest_grid_path(tess, WeightMap(np.array(w.values) * 4.0), s, t)
     assert scaled.path == base.path
     assert scaled.cost == base.cost * 4.0
+
+
+def test_frontier_search_settles_bit_equal_ties_by_node_id():
+    # routes 0-1-3 and 0-2-3 cost the same; node 1 settles first and keeps 3,
+    # whatever order the arcs are listed in
+    arcs = {0: ((2, 1.0), (1, 1.0)), 1: ((3, 1.0),), 2: ((3, 1.0),), 3: ()}
+
+    def out(u):
+        heads = np.array([v for v, _ in arcs[u]], dtype=np.int64)
+        return ((heads, np.array([c for _, c in arcs[u]])),)
+
+    assert _frontier_search(4, 0, 3, out) == (2.0, [0, 1, 3], 4)
+    assert _frontier_search(4, 3, 0, out) == (math.inf, [], 1)

@@ -167,6 +167,14 @@ def test_hop_tables_share_walks_across_shapes(monkeypatch):
     assert calls == []
 
 
+def test_hop_table_keeps_28_bytes_per_piece():
+    table = CornerHopTable(Tessellation(12, 12))
+    pieces = len(table.lengths)
+    assert len(table.pair_idx) == len(table.cells_a) == len(table.cells_b) == pieces
+    arrays = (table.lengths, table.pair_idx, table.cells_a, table.cells_b)
+    assert sum(a.nbytes for a in arrays) == 28 * pieces
+
+
 def test_hop_table_scale_invariance():
     tess = Tessellation(3, 4)
     rng = np.random.default_rng(3)

@@ -1,3 +1,5 @@
+import heapq
+import logging
 import math
 
 import numpy as np
@@ -9,14 +11,16 @@ from trigrid.grid_paths import (
     shortest_grid_path,
     shortest_vertex_path,
 )
-from trigrid.metric import WeightMap, polyline_cost
+from trigrid import oracle
+from trigrid.instances import gen_strip, gen_two_weight_maze
+from trigrid.metric import WeightMap, corner_hop_table, edge_weight, polyline_cost
 from trigrid.oracle import (
     OracleResult,
     _steiner_support,
     approx_shortest_path,
     refine_until,
 )
-from trigrid.tessellation import SQRT3, Tessellation, corner_position
+from trigrid.tessellation import SQRT3, Tessellation, cell_edges, corner_position
 
 INF = math.inf
 
@@ -155,8 +159,191 @@ def test_levels_over_node_budget_are_refused_before_building():
 def test_node_budget_admits_level_7_on_24x24():
     tess = Tessellation(24, 24)
     ones = WeightMap(np.ones((24, 24)))
-    cells, edges = _steiner_support(tess, ones, 7)
-    assert len(cells) == 24 * 24
-    assert len(tess.corners) + len(edges) * (2**7 - 1) < 120_000
+    support = _steiner_support(tess, ones, 7)
+    assert len(support.cells) == 24 * 24
+    assert len(tess.corners) + len(support.edges) * (2**7 - 1) < 120_000
     with pytest.raises(ValueError, match="budget"):
         _steiner_support(tess, ones, 12)
+
+
+def reference_search(tess, weights, s, t, level):
+    """The level graph built arc by arc and searched with a heap of (cost, id).
+
+    Nodes are numbered as the oracle numbers them: corners in corner order,
+    then 2**level - 1 nodes per distinct finite-cell edge, edges first seen
+    over cells in row-major order and slot order, each from its first end.
+    Arcs are every corner hop plus every pair of boundary nodes of a finite
+    cell, at the cell weight or the min-rule weight of an edge holding both.
+    Returns the cost and the point path; (inf, ()) when t is unreachable.
+    """
+    corners = tess.corners
+    finite = [c for c in tess.cells if math.isfinite(weights.effective(c))]
+    edges = list(dict.fromkeys(e for c in finite for e in cell_edges(c)))
+    xs = [corner_position(c)[0] for c in corners]
+    ys = [corner_position(c)[1] for c in corners]
+    edge_nodes = {}
+    for a, b in edges:
+        (ax, ay), (bx, by) = corner_position(a), corner_position(b)
+        edge_nodes[(a, b)] = list(range(len(xs), len(xs) + 2**level - 1))
+        for f in np.arange(1, 2**level) / float(2**level):
+            xs.append(ax + f * (bx - ax))
+            ys.append(ay + f * (by - ay))
+    x, y = np.array(xs), np.array(ys)
+    arcs = [dict() for _ in xs]
+
+    def add(u, v, cost):
+        if cost < arcs[u].get(v, INF):
+            arcs[u][v] = cost
+
+    hop = corner_hop_table(tess).cost_matrix(weights)
+    for u in range(len(corners)):
+        for v in range(len(corners)):
+            if u != v:
+                add(u, v, hop[u, v])
+    ids = tess.corner_ids
+    for cell in finite:
+        on_edge = {}  # node -> the cell edges it lies on
+        for e in cell_edges(cell):
+            for node in [ids[e[0]], ids[e[1]], *edge_nodes[e]]:
+                on_edge.setdefault(node, set()).add(e)
+        members = np.array(sorted(on_edge))
+        for u in members.tolist():
+            dvec = np.hypot(x[members] - x[u], y[members] - y[u])
+            for v, d in zip(members.tolist(), dvec):
+                if v == u:
+                    continue
+                w = weights.effective(cell)
+                shared = on_edge[u] & on_edge[v]
+                if shared:
+                    w = min(w, edge_weight(weights, shared.pop()))
+                add(u, v, w * d)
+
+    si, ti = ids[s], ids[t]
+    dist = {si: 0.0}
+    parent = {}
+    done = set()
+    heap = [(0.0, si)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        if u == ti:
+            path = [ti]
+            while path[-1] != si:
+                path.append(parent[path[-1]])
+            return d, tuple((x[k], y[k]) for k in reversed(path))
+        done.add(u)
+        for v, cost in arcs[u].items():
+            nd = d + cost
+            if nd < dist.get(v, INF):
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+    return INF, ()
+
+
+def _uniform():
+    return Tessellation(4, 5), WeightMap(np.full((4, 5), 2.5)), (0, 0), (5, 3)
+
+
+def _band():
+    vals = np.full((4, 5), 4.0)
+    vals[1, :] = 1.0
+    return WeightMap(vals)
+
+
+def _cut():
+    vals = np.ones((3, 4))
+    vals[:, 1:3] = INF  # two blocked columns share no corner across them
+    return Tessellation(3, 4), WeightMap(vals), (0, 0), (4, 0)
+
+
+def _instance(inst):
+    return inst.tessellation, inst.weights, inst.source, inst.target
+
+
+REFERENCE_CASES = {
+    **{
+        f"random-{rows}x{cols}-s{seed}": (lambda r=rows, c=cols, sd=seed: (
+            *random_instance(sd, r, c, inf_prob=0.2), *endpoints(Tessellation(r, c))
+        ))
+        # seeds where refinement beats level 0 around blocked cells
+        for rows, cols, seed in (
+            (1, 1, 0), (2, 3, 24), (3, 4, 10), (4, 3, 22), (4, 5, 10), (5, 5, 1)
+        )
+    },
+    "band-4x5": lambda: (Tessellation(4, 5), _band(), (0, 0), (6, 4)),
+    "maze-5x5": lambda: _instance(gen_two_weight_maze(5, 5, seed=3)),
+    "strip-3": lambda: _instance(gen_strip(3)),
+    "uniform-4x5": _uniform,
+    "unreachable": _cut,
+}
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_search_matches_reference_dijkstra_exactly(case, level):
+    tess, w, s, t = REFERENCE_CASES[case]()
+    want_cost, want_path = reference_search(tess, w, s, t, level)
+    if math.isinf(want_cost):
+        with pytest.raises(UnreachableError):
+            approx_shortest_path(tess, w, s, t, level=level)
+        return
+    got = approx_shortest_path(tess, w, s, t, level=level)
+    assert got.cost == want_cost
+    assert got.path == want_path
+
+
+def test_reference_cases_cover_blocked_cells_and_refinement():
+    blocked = refined = 0
+    for case in REFERENCE_CASES.values():
+        tess, w, s, t = case()
+        blocked += not np.isfinite(w.values).all()
+        coarse, fine = (reference_search(tess, w, s, t, level)[0] for level in (0, 3))
+        refined += fine < coarse * (1.0 - 1e-3)
+    assert blocked >= 6
+    assert refined >= 6
+    assert math.isinf(reference_search(*_cut(), 1)[0])
+
+
+def _oracle_messages(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "trigrid.oracle"]
+
+
+def test_refine_until_logs_each_level_and_why_it_stopped(caplog):
+    caplog.set_level(logging.DEBUG, logger="trigrid.oracle")
+    vals = np.full((4, 3), INF)
+    vals[:, 1] = 1.0
+    res = refine_until(Tessellation(4, 3), WeightMap(vals), (2, 0), (2, 4))
+    assert res.level == 1
+    msgs = _oracle_messages(caplog)
+    assert len(msgs) == 4
+    for level, line in ((0, msgs[0]), (1, msgs[1])):
+        assert line.startswith(f"level {level}: ")
+        assert " nodes, " in line and " settled, cost " in line
+    assert msgs[1].endswith(f"cost {4 * SQRT3!r}")
+    assert msgs[2] == "level 1: relative improvement 0"
+    assert msgs[3] == "stopped at level 1: tolerance 1e-06 met"
+
+    caplog.clear()
+    # refraction along the band keeps improving past level 2
+    res = refine_until(Tessellation(4, 5), _band(), (0, 0), (6, 4), max_level=2)
+    assert not res.converged
+    msgs = _oracle_messages(caplog)
+    assert [m.split(":")[0] for m in msgs] == ["level 0"] + ["level 1"] * 2 + ["level 2"] * 2 + [
+        "stopped at level 2"
+    ]
+    assert msgs[-1] == "stopped at level 2: max_level reached"
+
+
+def test_refine_until_skips_logging_when_debug_is_off(caplog, monkeypatch):
+    caplog.set_level(logging.INFO, logger="trigrid.oracle")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("debug line built with DEBUG off")
+
+    monkeypatch.setattr(oracle.logger, "debug", fail)
+    tess, w = random_instance(3)
+    s, t = endpoints(tess)
+    refine_until(tess, w, s, t, max_level=2)
+    assert _oracle_messages(caplog) == []
