@@ -1,49 +1,24 @@
 """Weighted shortest paths on equilateral triangle tessellations.
 
 The package spans four layers: lattice geometry and walks (tessellation),
-the weighted region metric (metric), exact solvers on the corner graphs
-plus a Steiner-refinement oracle for unrestricted paths (grid_paths,
-oracle), and the machinery that certifies the grid-versus-unrestricted
-cost ratio bound of 2/sqrt(3) (analysis). Instance files, generators, and
-SVG export live in instances; a command line ties it together in cli.
+the weighted region metric (metric), solvers for the three path families
+(grid_paths, oracle), and the machinery that certifies the
+grid-versus-unrestricted cost ratio bound of 2/sqrt(3) (analysis). The
+grid-path and vertex-path solvers are exact, the Steiner-refinement oracle
+approximates unrestricted paths, and all three run one search,
+grid_paths._frontier_search. Instance files, generators, and SVG export
+live in instances; a command line ties it together in cli.
+
+The package exports the names the README and the command line use; every
+other name is imported from its module.
 """
 
 from .analysis import (
-    BETWEEN_EDGES,
-    ENDPOINT_PIVOT,
     RATIO_BOUND,
     RATIO_TOL,
-    SAME_EDGE,
-    TO_CORNER,
-    AnomalyResult,
-    CoincidenceDecomposition,
-    CrossingPath,
-    CrossingSegment,
-    DegeneratePolygonError,
-    EqualizeError,
-    GapPolygon,
-    MalformedPathError,
-    PolygonMetrics,
-    PolygonRatio,
     RatioReport,
-    Shortcut,
-    TopologyError,
-    classify_polygon,
-    coincidence_decomposition,
-    coincidence_points,
-    compose_grid_path,
-    crossing_path,
-    equalize_shortcut_weights,
-    grid_path_cost,
-    law_of_cosines_dist,
-    mediant_upper_bound,
-    per_polygon_ratios,
-    polygon_metrics,
     ratio_report,
     search_p2_anomaly,
-    shortcut_paths,
-    svp_lower_bound_constant,
-    svp_lower_bound_witness_offset,
 )
 from .grid_paths import (
     InvalidCornerError,
@@ -61,17 +36,9 @@ from .instances import (
     gen_strip,
     gen_two_weight_maze,
     load_instance,
-    parse_instance,
     save_instance,
-    serialize_instance,
 )
-from .metric import (
-    WeightMap,
-    edge_weight,
-    grid_edge_cost,
-    polyline_cost,
-    segment_cost,
-)
+from .metric import WeightMap, segment_cost
 from .oracle import (
     DEFAULT_MAX_LEVEL,
     DEFAULT_REL_TOL,
@@ -79,113 +46,37 @@ from .oracle import (
     approx_shortest_path,
     refine_until,
 )
-from .tessellation import (
-    CORNER_STEPS_CCW,
-    EDGE_COLLINEAR,
-    EPS_GEO,
-    INTERIOR_CROSSING,
-    SQRT3,
-    Cell,
-    Corner,
-    Edge,
-    Point,
-    Tessellation,
-    WalkRecord,
-    adjacent_corners,
-    are_adjacent,
-    cell_edges,
-    cell_vertices,
-    corner_cells,
-    corner_position,
-    edge_cells,
-    edge_key,
-    is_upward,
-    segment_walk,
-)
+from .tessellation import Tessellation, corner_position
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnomalyResult",
-    "BETWEEN_EDGES",
-    "CORNER_STEPS_CCW",
-    "Cell",
-    "CoincidenceDecomposition",
-    "Corner",
-    "CrossingPath",
-    "CrossingSegment",
     "DEFAULT_MAX_LEVEL",
     "DEFAULT_REL_TOL",
-    "DegeneratePolygonError",
-    "EDGE_COLLINEAR",
-    "ENDPOINT_PIVOT",
-    "EPS_GEO",
-    "Edge",
-    "EqualizeError",
-    "GapPolygon",
     "GenerationError",
-    "INTERIOR_CROSSING",
     "Instance",
     "InvalidCornerError",
-    "MalformedPathError",
     "OracleResult",
     "ParseError",
     "PathResult",
-    "Point",
-    "PolygonMetrics",
-    "PolygonRatio",
     "RATIO_BOUND",
     "RATIO_TOL",
     "RatioReport",
-    "SAME_EDGE",
-    "SQRT3",
-    "Shortcut",
-    "TO_CORNER",
     "Tessellation",
-    "TopologyError",
     "UnreachableError",
-    "WalkRecord",
     "WeightMap",
-    "adjacent_corners",
     "approx_shortest_path",
-    "are_adjacent",
-    "cell_edges",
-    "cell_vertices",
-    "classify_polygon",
-    "coincidence_decomposition",
-    "coincidence_points",
-    "compose_grid_path",
-    "corner_cells",
     "corner_position",
-    "crossing_path",
-    "edge_cells",
-    "edge_key",
-    "edge_weight",
-    "equalize_shortcut_weights",
     "export_svg",
     "gen_random",
     "gen_strip",
     "gen_two_weight_maze",
-    "grid_edge_cost",
-    "grid_path_cost",
-    "is_upward",
-    "law_of_cosines_dist",
     "load_instance",
-    "mediant_upper_bound",
-    "parse_instance",
-    "per_polygon_ratios",
-    "polygon_metrics",
-    "polyline_cost",
     "ratio_report",
     "refine_until",
     "save_instance",
     "search_p2_anomaly",
     "segment_cost",
-    "segment_walk",
-    "serialize_instance",
-    "shortcut_paths",
     "shortest_grid_path",
     "shortest_vertex_path",
-    "svp_lower_bound_constant",
-    "svp_lower_bound_witness_offset",
 ]

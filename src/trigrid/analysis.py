@@ -509,16 +509,6 @@ def _coincidence_arcs(
     return out
 
 
-def coincidence_points(sp: Sequence[Point], x: CrossingPath) -> CoincidenceDecomposition:
-    """Points where the polyline and the corner path meet, without pockets."""
-    sp_pts = tuple(sp)
-    x_pts = tuple(corner_position(c) for c in x.corners)
-    arcs = _coincidence_arcs(sp_pts, x_pts)
-    cum = _cum_lengths(sp_pts)
-    points = tuple(_point_at(sp_pts, cum, arc) for arc, _ in arcs)
-    return CoincidenceDecomposition(points, (), sp_pts, x)
-
-
 def _shared_gap(sp_sub: Sequence[Point], x_sub: Sequence[Point]) -> bool:
     len_sp = _cum_lengths(sp_sub)[-1]
     len_x = _cum_lengths(x_sub)[-1]
@@ -581,20 +571,6 @@ def _classify(
         )
         return k, pivot, edges
     raise TopologyError("pivot-incident edge contacts are not consecutive")
-
-
-def classify_polygon(
-    sp_sub: Sequence[Point], x_sub: Sequence[Point], tess: Tessellation
-) -> Tuple[int, Corner]:
-    """Pocket type and pivot corner for one gap between coincidence points.
-
-    The pivot is a corner shared by the edges carrying the gap endpoints,
-    preferring corners the outer sub-path visits; the type counts the
-    pivot-incident edges whose closed segments touch the closed inner
-    sub-polyline, which must form one contiguous fan.
-    """
-    kind, pivot, _ = _classify(sp_sub, x_sub)
-    return kind, pivot
 
 
 def coincidence_decomposition(
@@ -865,12 +841,15 @@ def ratio_report(
     rel_tol: float = DEFAULT_REL_TOL,
     max_level: int = DEFAULT_MAX_LEVEL,
 ) -> RatioReport:
-    """Solve all three path families and price the pocket decomposition."""
+    """Solve all three path families and price the pocket decomposition.
+
+    The oracle runs first, so its checks of the inputs hold for s == t too.
+    """
+    oracle = refine_until(tess, weights, s, t, rel_tol=rel_tol, max_level=max_level)
     if s == t:
         return RatioReport(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, (0,) * 6, 0, True, ())
     sgp = shortest_grid_path(tess, weights, s, t)
     svp = shortest_vertex_path(tess, weights, s, t)
-    oracle = refine_until(tess, weights, s, t, rel_tol=rel_tol, max_level=max_level)
     x = crossing_path(oracle.path, weights, tess)
     x_cost = grid_path_cost(weights, x.corners)
     decomposition = coincidence_decomposition(oracle.path, x, tess)

@@ -10,19 +10,20 @@ order decides nothing between costs that differ in the last bit: a hop and
 the same segment split at a collinear corner trace one polyline, but their
 float sums can round apart, and then the cheaper rounding is reported.
 
-The vertex-path solver and the Steiner oracle share one search kernel,
-_frontier_search: a Dijkstra that keeps unsettled tentative distances in a
-dense array and settles its first minimum, with no heap.
+All three path families run one search kernel, _frontier_search: a
+Dijkstra that keeps unsettled tentative distances in a dense array and
+settles its first minimum, with no heap. The grid-path solver relaxes a
+corner through its six lattice edges, the vertex-path solver through its
+row of hop costs, and the Steiner oracle adds its cell cliques.
 """
 
-import heapq
 import math
-from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .metric import WeightMap, corner_hop_table, grid_edge_cost
-from .tessellation import Corner, Tessellation
+from .metric import WeightMap, _effective_array, corner_hop_table
+from .tessellation import Corner, Tessellation, adjacent_corners, edge_cells
 
 
 class UnreachableError(Exception):
@@ -38,49 +39,57 @@ class PathResult(NamedTuple):
     cost: float
 
 
-def _check_endpoints(tess: Tessellation, s: Corner, t: Corner):
+def _check_endpoints(tess: Tessellation, weights: WeightMap, s: Corner, t: Corner):
+    """Refuse endpoints off the window and a weight map of another shape."""
     for c in (s, t):
         if not tess.valid_corner(c):
             raise InvalidCornerError(f"not a corner of the window: {c!r}")
+    if (weights.rows, weights.cols) != (tess.rows, tess.cols):
+        raise ValueError("weight map shape does not match the window")
 
 
-def _reconstruct(parent: Dict[Corner, Corner], s: Corner, t: Corner) -> Tuple[Corner, ...]:
-    out = [t]
-    while out[-1] != s:
-        out.append(parent[out[-1]])
-    out.reverse()
-    return tuple(out)
+# The six (di, dj) steps in adjacent_corners order, and the (row, col)
+# offsets of the two cells along each step's edge: the lattice is invariant
+# under corner translations, so the steps from the origin serve every corner
+_STEPS = np.array(adjacent_corners((0, 0)))
+_STEP_CELLS = np.array([edge_cells(((0, 0), step)) for step in adjacent_corners((0, 0))])
+
+
+def _grid_arcs(tess: Tessellation, weights: WeightMap) -> Tuple[np.ndarray, np.ndarray]:
+    """(n_corners, 6) heads and costs of every corner's lattice edges.
+
+    A step off the window is an arc from the corner to itself. Both cells
+    along its edge lie outside the window, so it costs infinity and never
+    relaxes.
+    """
+    ci, cj = tess.corner_array.T
+    # steps move j by at most 1 and i by at most 2, so this margin reads -1
+    padded = np.full((tess.rows + 3, tess.cols + 6), -1)
+    padded[1:-1, 2:-2] = tess.corner_grid
+    heads = padded[cj[:, None] + _STEPS[:, 1] + 1, ci[:, None] + _STEPS[:, 0] + 2]
+    cells = np.stack((cj, ci), axis=1)[:, None, None, :] + _STEP_CELLS
+    w = _effective_array(weights, cells.reshape(-1, 2)).reshape(len(ci), 6, 2)
+    costs = 2.0 * w.min(axis=2)
+    off = heads < 0
+    heads[off] = np.nonzero(off)[0]
+    return heads, costs
 
 
 def shortest_grid_path(
     tess: Tessellation, weights: WeightMap, s: Corner, t: Corner
 ) -> PathResult:
     """Cheapest path that moves along lattice edges only."""
-    _check_endpoints(tess, s, t)
+    _check_endpoints(tess, weights, s, t)
     if s == t:
         return PathResult((s,), 0.0)
-    dist: Dict[Corner, float] = {s: 0.0}
-    parent: Dict[Corner, Corner] = {}
-    done = set()
-    heap = [(0.0, (s[1], s[0]), s)]
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in done:
-            continue  # stale heap entry for an already settled corner
-        if node == t:
-            return PathResult(_reconstruct(parent, s, t), d)
-        done.add(node)
-        for nb in tess.corner_neighbors(node):
-            if nb in done:
-                continue
-            nd = d + grid_edge_cost(weights, node, nb)
-            if math.isinf(nd):
-                continue
-            if nd < dist.get(nb, math.inf):
-                dist[nb] = nd
-                parent[nb] = node
-                heapq.heappush(heap, (nd, (nb[1], nb[0]), nb))
-    raise UnreachableError(f"no finite-cost grid path from {s!r} to {t!r}")
+    heads, costs = _grid_arcs(tess, weights)
+    cost, path, _ = _frontier_search(
+        len(heads), tess.corner_ids[s], tess.corner_ids[t], lambda u: ((heads[u], costs[u]),)
+    )
+    if math.isinf(cost):
+        raise UnreachableError(f"no finite-cost grid path from {s!r} to {t!r}")
+    corners = tess.corners
+    return PathResult(tuple(corners[k] for k in path), cost)
 
 
 # A node's out-arcs as (heads, costs) blocks: heads an index array, costs the
@@ -140,7 +149,7 @@ def shortest_vertex_path(
     Every corner pair is a candidate hop, so the relaxation runs over dense
     rows of the shared hop-cost matrix instead of adjacency lists.
     """
-    _check_endpoints(tess, s, t)
+    _check_endpoints(tess, weights, s, t)
     if s == t:
         return PathResult((s,), 0.0)
     corners = tess.corners

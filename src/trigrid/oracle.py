@@ -11,7 +11,7 @@ non-increasing in the level because dyadic node sets nest.
 At level 0 the graph degenerates to the complete corner graph, so the
 result coincides with the vertex-path solver's.
 
-The search is the vertex-path solver's frontier-array Dijkstra
+The search is the frontier-array Dijkstra all three path families share
 (grid_paths._frontier_search). It settles nodes in (cost, node id) order,
 the order a binary heap of (cost, id) pairs pops, so node order decides a
 tie only between bit-equal costs. A hop and the same segment split at a
@@ -76,8 +76,8 @@ class _SteinerGraph:
     one settle prices all of a node's cliques in one array operation.
     """
 
-    def __init__(self, tess: Tessellation, weights: WeightMap, level: int):
-        cells, verts, edges, slot_edges = _steiner_support(tess, weights, level)
+    def __init__(self, tess: Tessellation, weights: WeightMap, level: int, support: _Support):
+        cells, verts, edges, slot_edges = support
         n_corners = len(tess.corners)
         n_cells = len(cells)
         per_edge = 2 ** level - 1
@@ -181,8 +181,6 @@ def _steiner_support(tess: Tessellation, weights: WeightMap, level: int) -> _Sup
     """
     if level < 0:
         raise ValueError("refinement level must be non-negative")
-    if (weights.rows, weights.cols) != (tess.rows, tess.cols):
-        raise ValueError("weight map shape does not match the window")
     cells = np.argwhere(np.isfinite(weights.values))
     row, col = cells[:, 0], cells[:, 1]
     down = (row + col) % 2
@@ -223,10 +221,11 @@ def approx_shortest_path(
     results report False unless the endpoints coincide. At DEBUG the module
     logger records the level's node count, settled-node count and cost.
     """
-    _check_endpoints(tess, s, t)
+    _check_endpoints(tess, weights, s, t)
+    support = _steiner_support(tess, weights, level)
     if s == t:
         return OracleResult((corner_position(s),), 0.0, level, True)
-    graph = _SteinerGraph(tess, weights, level)
+    graph = _SteinerGraph(tess, weights, level, support)
     cost, path, settled = graph.shortest(s, t)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
@@ -254,6 +253,7 @@ def refine_until(
     each level's search logs its line (see approx_shortest_path), then this
     loop logs the level's relative improvement and, last, why it stopped.
     """
+    _check_endpoints(tess, weights, s, t)
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
     _steiner_support(tess, weights, max_level)

@@ -384,10 +384,6 @@ class Tessellation:
         grid[j, i] = np.arange(len(i))
         return grid
 
-    def corner_neighbors(self, corner: Corner) -> List[Corner]:
-        """Valid grid-graph neighbours of a corner, sorted by (j, i)."""
-        return [c for c in adjacent_corners(corner) if self.valid_corner(c)]
-
     def locate_point(self, p: Point):
         """Classify a point: ('corner', c), ('edge', e), ('cell', c) or ('outside', None).
 

@@ -219,12 +219,6 @@ def test_tessellation_corners_cover_window():
     assert tess.corner_ids[(0, 0)] == 0
 
 
-def test_tessellation_corner_neighbors_filtered():
-    tess = Tessellation(3, 4)
-    assert tess.corner_neighbors((0, 0)) == [(2, 0), (1, 1)]
-    assert tess.corner_neighbors((2, 2)) == [(1, 1), (3, 1), (0, 2), (4, 2), (1, 3), (3, 3)]
-
-
 def test_locate_point_priorities():
     tess = Tessellation(3, 4)
     assert tess.locate_point((2.0, 0.0)) == ("corner", (2, 0))
