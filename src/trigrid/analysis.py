@@ -158,6 +158,13 @@ class Shortcut(NamedTuple):
 
 
 class RatioReport(NamedTuple):
+    """The three path costs, their ratios and the priced pocket decomposition.
+
+    histogram counts the pockets by kind, 1 to 6. The SP path runs along
+    each lattice edge in one hop, so a stretch where SP and the crossing
+    path share one edge is one kind-1 shared pocket, not one per vertex.
+    """
+
     sgp_cost: float
     svp_cost: float
     sp_cost: float

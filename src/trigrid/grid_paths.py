@@ -8,7 +8,9 @@ metric. Both settle corners in (cost, (j, i) key) order, so a tie between
 bit-equal costs goes to the smaller key and results are reproducible. That
 order decides nothing between costs that differ in the last bit: a hop and
 the same segment split at a collinear corner trace one polyline, but their
-float sums can round apart, and then the cheaper rounding is reported.
+float sums can round apart, and then the cheaper rounding is reported. The
+Steiner oracle reports a run along one lattice edge as one hop, so there
+this tie is left only for corner hops.
 
 All three path families run one search kernel, _frontier_search: a
 Dijkstra that keeps unsettled tentative distances in a dense array and

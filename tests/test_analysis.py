@@ -443,6 +443,15 @@ class TestRatioReport:
         assert (rep.sgp_sp, rep.svp_sp, rep.sgp_svp) == (1.0, 1.0, 1.0)
         assert rep.polygons == ()
 
+    def test_a_run_along_one_edge_is_one_shared_piece(self):
+        # SP runs along the edge from (3, 3) to (4, 4); reported through the
+        # level-1 node at its middle, the run made two shared pockets
+        tess, w = random_instance(4, rows=4, cols=5)
+        rep = ratio_report(tess, w, (0, 0), (4, 4))
+        shared = [p for p in rep.polygons if p.kind == 1 and p.pivot == (3, 3)]
+        assert len(shared) == 1
+        assert rep.histogram == (1, 0, 2, 0, 0, 0)
+
     def test_uniform_weights_stay_within_the_bound(self):
         tess = Tessellation(4, 5)
         w = WeightMap(np.full((4, 5), 3.0))

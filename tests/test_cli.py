@@ -65,8 +65,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag", ["--steiner-level", "--max-level"])
     def test_level_over_node_budget_exits_1(self, strip5, flag, capsys):
-        assert main(["solve", strip5, "--method", "sp", flag, "64"]) == 1
-        assert "budget" in capsys.readouterr().err
+        for level in ("64", "11"):
+            assert main(["solve", strip5, "--method", "sp", flag, level]) == 1
+            assert "budget" in capsys.readouterr().err
 
     def test_svg_side_output(self, strip5, tmp_path, capsys):
         out = tmp_path / "strip.svg"

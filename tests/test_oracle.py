@@ -20,7 +20,14 @@ from trigrid.oracle import (
     approx_shortest_path,
     refine_until,
 )
-from trigrid.tessellation import SQRT3, Tessellation, cell_edges, corner_position
+from trigrid.tessellation import (
+    SQRT3,
+    Tessellation,
+    adjacent_corners,
+    cell_edges,
+    corner_position,
+    edge_key,
+)
 
 INF = math.inf
 
@@ -145,7 +152,8 @@ def test_max_level_zero_returns_vertex_path_cost():
 def test_levels_over_node_budget_are_refused_before_building():
     # 1x1 window: 3 corners and 3 edges, so level 20 needs 3 * 2**20 nodes
     tess, w = Tessellation(1, 1), WeightMap([[1.0]])
-    for level in (20, 64):
+    # level 11 fits the node budget on 1x1, but its distance table would not
+    for level in (11, 20, 64):
         with pytest.raises(ValueError, match="budget"):
             approx_shortest_path(tess, w, (0, 0), (2, 0), level=level)
     with pytest.raises(ValueError, match="budget"):
@@ -166,6 +174,77 @@ def test_node_budget_admits_level_7_on_24x24():
         _steiner_support(tess, ones, 12)
 
 
+def fine_coordinates(tess, support, level):
+    """Integer coordinates of every graph node on the fine lattice of step 2**-level.
+
+    A corner (i, j) sits at (P*i, P*j) with P = 2**level; node n of edge (a, b)
+    at (P*i_a + n*(i_b - i_a), P*j_a + n*(j_b - j_a)). A node's plane position
+    is (X / P, Y * sqrt(3) / P).
+    """
+    p = 2**level
+    a, b = support.edges.T
+    n = np.arange(1, p)
+    out = []
+    for axis in tess.corner_array.T:
+        along = p * axis[a, None] + n * (axis[b] - axis[a])[:, None]
+        out.append(np.concatenate((p * axis, along.ravel())))
+    return out
+
+
+@pytest.mark.parametrize("level", range(9))
+def test_clique_table_prices_every_cell_pair_exactly(level):
+    tess, w = random_instance(5, inf_prob=0.2)
+    blocked = ~np.isfinite(w.values)
+    assert blocked.any() and not blocked.all()
+    support = _steiner_support(tess, w, level)
+    down = support.cells.sum(axis=1) % 2
+    assert set(down) == {0, 1}
+    table, columns = oracle._clique_table(level)
+    p, per_edge, n_corners = 2**level, 2**level - 1, len(tess.corners)
+    fx, fy = fine_coordinates(tess, support, level)
+    x, y = fx / p, fy * SQRT3 / p
+    # a cell's local members: its vertices, then the nodes of each edge slot
+    slot_nodes = n_corners + support.slot_edges[:, :, None] * per_edge + np.arange(per_edge)
+    members = np.concatenate((support.verts, slot_nodes.reshape(len(down), -1)), axis=1)
+    # its sources: vertex m at row kind 3 + m and table row 0, then node m of
+    # slot k at row kind k and row m + 1
+    kinds = np.r_[3, 4, 5, np.repeat([0, 1, 2], per_edge)]
+    rows = np.r_[0, 0, 0, np.tile(np.arange(1, p), 3)]
+    for cell in range(len(down)):
+        got = table[rows[:, None], columns[down[cell]][kinds]]
+        u, v = members[cell][:, None], members[cell][None, :]
+        want = np.sqrt((fx[v] - fx[u]) ** 2 + 3 * (fy[v] - fy[u]) ** 2) / p
+        assert np.array_equal(got, want)
+        # float positions carry about 1e-15 of rounding, which short distances
+        # see as a larger relative error: compare to 1e-14 of a cell side too
+        hypot = np.hypot(x[v] - x[u], y[v] - y[u])
+        np.testing.assert_allclose(got, hypot, rtol=1e-14, atol=2e-14)
+
+
+def lattice_edges_through(q):
+    """Every lattice edge that passes within 1e-9 of the point q."""
+    i0, j0 = math.floor(q[0]), math.floor(q[1] / SQRT3)
+    ends = [
+        (i, j) for j in range(j0 - 1, j0 + 3) for i in range(i0 - 2, i0 + 4) if (i + j) % 2 == 0
+    ]
+    edges = {edge_key(a, b) for a in ends for b in adjacent_corners(a)}
+    return [e for e in edges if segment_distance(q, e) <= 1e-9]
+
+
+def segment_distance(q, edge):
+    a, b = (np.array(corner_position(c)) for c in edge)
+    f = np.clip(np.dot(q - a, b - a) / np.dot(b - a, b - a), 0.0, 1.0)
+    return float(np.linalg.norm(q - (a + f * (b - a))))
+
+
+def on_one_edge(*points):
+    """Whether the points all lie on one lattice edge, ends included."""
+    return any(
+        all(segment_distance(q, e) <= 1e-9 for q in points)
+        for e in lattice_edges_through(points[0])
+    )
+
+
 def reference_search(tess, weights, s, t, level):
     """The level graph built arc by arc and searched with a heap of (cost, id).
 
@@ -174,20 +253,29 @@ def reference_search(tess, weights, s, t, level):
     over cells in row-major order and slot order, each from its first end.
     Arcs are every corner hop plus every pair of boundary nodes of a finite
     cell, at the cell weight or the min-rule weight of an edge holding both.
+    A clique arc's length comes from the nodes' integer coordinates on the
+    fine lattice of step 2**-level: node n of edge (a, b) sits at
+    (P*i_a + n*(i_b - i_a), P*j_a + n*(j_b - j_a)) with P = 2**level, so
+    two nodes lie sqrt(dX**2 + 3*dY**2) / P apart. The path drops every
+    point whose path neighbours lie on one lattice edge with it.
     Returns the cost and the point path; (inf, ()) when t is unreachable.
     """
     corners = tess.corners
     finite = [c for c in tess.cells if math.isfinite(weights.effective(c))]
     edges = list(dict.fromkeys(e for c in finite for e in cell_edges(c)))
+    p = 2**level
     xs = [corner_position(c)[0] for c in corners]
     ys = [corner_position(c)[1] for c in corners]
+    fine = [(p * i, p * j) for i, j in corners]
     edge_nodes = {}
     for a, b in edges:
         (ax, ay), (bx, by) = corner_position(a), corner_position(b)
-        edge_nodes[(a, b)] = list(range(len(xs), len(xs) + 2**level - 1))
-        for f in np.arange(1, 2**level) / float(2**level):
+        edge_nodes[(a, b)] = list(range(len(xs), len(xs) + p - 1))
+        for n in range(1, p):
+            f = n / float(p)
             xs.append(ax + f * (bx - ax))
             ys.append(ay + f * (by - ay))
+            fine.append((p * a[0] + n * (b[0] - a[0]), p * a[1] + n * (b[1] - a[1])))
     x, y = np.array(xs), np.array(ys)
     arcs = [dict() for _ in xs]
 
@@ -206,12 +294,13 @@ def reference_search(tess, weights, s, t, level):
         for e in cell_edges(cell):
             for node in [ids[e[0]], ids[e[1]], *edge_nodes[e]]:
                 on_edge.setdefault(node, set()).add(e)
-        members = np.array(sorted(on_edge))
-        for u in members.tolist():
-            dvec = np.hypot(x[members] - x[u], y[members] - y[u])
-            for v, d in zip(members.tolist(), dvec):
+        members = sorted(on_edge)
+        for u in members:
+            for v in members:
                 if v == u:
                     continue
+                (xu, yu), (xv, yv) = fine[u], fine[v]
+                d = math.sqrt((xv - xu) ** 2 + 3 * (yv - yu) ** 2) / p
                 w = weights.effective(cell)
                 shared = on_edge[u] & on_edge[v]
                 if shared:
@@ -231,7 +320,11 @@ def reference_search(tess, weights, s, t, level):
             path = [ti]
             while path[-1] != si:
                 path.append(parent[path[-1]])
-            return d, tuple((x[k], y[k]) for k in reversed(path))
+            points = [(x[k], y[k]) for k in reversed(path)]
+            merged = [points[0]] + [
+                q for o, q, r in zip(points, points[1:], points[2:]) if not on_one_edge(o, q, r)
+            ]
+            return d, tuple(merged + [points[-1]])
         done.add(u)
         for v, cost in arcs[u].items():
             nd = d + cost
@@ -347,3 +440,17 @@ def test_refine_until_skips_logging_when_debug_is_off(caplog, monkeypatch):
     s, t = endpoints(tess)
     refine_until(tess, w, s, t, max_level=2)
     assert _oracle_messages(caplog) == []
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_reported_paths_run_along_each_edge_in_one_hop(case):
+    tess, w, s, t = REFERENCE_CASES[case]()
+    try:
+        results = [approx_shortest_path(tess, w, s, t, level=level) for level in (1, 2, 3, 4)]
+    except UnreachableError:
+        return
+    results.append(refine_until(tess, w, s, t))
+    for res in results:
+        path = res.path
+        assert not any(on_one_edge(*trio) for trio in zip(path, path[1:], path[2:]))
+        assert polyline_cost(w, path) == pytest.approx(res.cost, rel=1e-12, abs=0)
