@@ -11,7 +11,7 @@ path is poor but whose shortcut repair is near-optimal.
 import logging
 import math
 import random
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -38,9 +38,8 @@ from .tessellation import (
     corner_position,
     edge_cells,
     edge_key,
+    locate_point,
     segment_walk,
-    _affine,
-    _cell_margin,
 )
 
 logger = logging.getLogger(__name__)
@@ -113,23 +112,6 @@ class CoincidenceDecomposition(NamedTuple):
     x: CrossingPath
 
 
-class PolygonMetrics(NamedTuple):
-    """Side lengths of a pocket.
-
-    For kind 2: a and b are the pivot legs, c the straight chord, d and e
-    the first and last outer segment lengths. Otherwise a and b are the
-    first and last outer segments, c the endpoint separation, d and e the
-    first and last inner segments.
-    """
-
-    kind: int
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-
-
 class PolygonRatio(NamedTuple):
     """Priced pocket with its bound checks.
 
@@ -160,9 +142,10 @@ class Shortcut(NamedTuple):
 class RatioReport(NamedTuple):
     """The three path costs, their ratios and the priced pocket decomposition.
 
-    histogram counts the pockets by kind, 1 to 6. The SP path runs along
-    each lattice edge in one hop, so a stretch where SP and the crossing
-    path share one edge is one kind-1 shared pocket, not one per vertex.
+    histogram counts the pockets by kind, 1 to 6. sp_path is the oracle's
+    path that the pockets were cut from. It runs along each lattice edge
+    in one hop, so a stretch where SP and the crossing path share one edge
+    is one kind-1 shared pocket, not one per vertex.
     """
 
     sgp_cost: float
@@ -177,6 +160,7 @@ class RatioReport(NamedTuple):
     level: int
     converged: bool
     polygons: Tuple[PolygonRatio, ...]
+    sp_path: Tuple[Point, ...]
 
 
 class AnomalyResult(NamedTuple):
@@ -303,32 +287,12 @@ def _slice_polyline(
     return tuple(out)
 
 
-def _snap_corner_loose(p: Point, tol: float = _EPS_ON) -> Optional[Corner]:
-    i, j = round(p[0]), round(p[1] / SQRT3)
-    if (i + j) % 2 == 0 and math.dist(p, (i, j * SQRT3)) <= tol:
-        return (i, j)
-    return None
-
-
-def _edges_containing(p: Point, tol: float = _EPS_ON):
-    """Classify p as a corner or as a point on one or more lattice edges."""
-    corner = _snap_corner_loose(p, tol)
-    if corner is not None:
-        return ("corner", corner)
-    i0, j0 = round(p[0]), round(p[1] / SQRT3)
-    found: Set[Edge] = set()
-    for j in range(j0 - 1, j0 + 2):
-        for i in range(i0 - 2, i0 + 3):
-            if (i + j) % 2:
-                continue
-            pos = corner_position((i, j))
-            for step in CORNER_STEPS_CCW:
-                nbr = (i + step[0], j + step[1])
-                if _seg_point_dist(p, pos, corner_position(nbr)) <= tol:
-                    found.add(edge_key((i, j), nbr))
-    if not found:
+def _boundary_location(p: Point, tol: float):
+    """locate_point's answer for a point that must lie on a corner or an edge."""
+    kind, where = locate_point(p, tol)
+    if kind == "cell":
         raise MalformedPathError(f"point {p!r} is not on the lattice boundary")
-    return ("edges", tuple(sorted(found, key=lambda e: (e[0][1], e[0][0], e[1][1], e[1][0]))))
+    return kind, where
 
 
 # -- crossing path ----------------------------------------------------------
@@ -368,25 +332,21 @@ def _visit_sequence(
     return records
 
 
-def _corner_at(p: Point, cell: Cell) -> Optional[Corner]:
-    for corner in cell_vertices(cell):
-        if math.dist(p, corner_position(corner)) <= EPS_GEO:
-            return corner
-    return None
-
-
-def _edges_at(p: Point, cell: Cell) -> List[Edge]:
-    out = []
-    for edge in cell_edges(cell):
-        if _seg_point_dist(p, corner_position(edge[0]), corner_position(edge[1])) <= EPS_GEO:
-            out.append(edge)
-    return out
+def _on_cell(p: Point, cell: Cell) -> Tuple[Optional[Corner], List[Edge]]:
+    """The vertex of cell at p, if any, and the edges of cell through p, in cell_edges order."""
+    kind, where = locate_point(p, EPS_GEO)
+    if kind == "corner":
+        vertex = where if where in cell_vertices(cell) else None
+        return vertex, [e for e in cell_edges(cell) if where in e]
+    if kind == "edges":
+        return None, [e for e in cell_edges(cell) if e in where]
+    return None, []
 
 
 def _visit_case(visit: WalkRecord) -> CrossingSegment:
     """Resolve one cell visit to its corner-path contribution."""
     cell, a, b = visit.cell, visit.entry, visit.exit
-    a_edges, b_edges = _edges_at(a, cell), _edges_at(b, cell)
+    (va, a_edges), (vb, b_edges) = _on_cell(a, cell), _on_cell(b, cell)
     common = [e for e in a_edges if e in b_edges]
     if common:
         e = common[0]
@@ -396,7 +356,6 @@ def _visit_case(visit: WalkRecord) -> CrossingSegment:
         tb = (b[0] - p0[0]) * dx + (b[1] - p0[1]) * dy
         corners = (e[0], e[1]) if ta <= tb else (e[1], e[0])
         return CrossingSegment(cell, SAME_EDGE, corners)
-    va, vb = _corner_at(a, cell), _corner_at(b, cell)
     if va is not None:
         # exit is interior to the edge opposite the entry corner; pick the
         # endpoint right of the entry-to-midpoint ray, midpoint ties included
@@ -429,11 +388,9 @@ def crossing_path(sp: Sequence[Point], weights: WeightMap, tess: Tessellation) -
     """
     if not sp:
         raise MalformedPathError("empty polyline")
-    for p in sp:
-        _edges_containing(p, EPS_GEO)  # raises off-boundary
-    start = _snap_corner_loose(sp[0], EPS_GEO)
-    end = _snap_corner_loose(sp[-1], EPS_GEO)
-    if start is None or end is None:
+    located = [_boundary_location(p, EPS_GEO) for p in sp]
+    (start_kind, start), (end_kind, end) = located[0], located[-1]
+    if start_kind != "corner" or end_kind != "corner":
         raise MalformedPathError("polyline must start and end at corners")
     visits = _visit_sequence(tess, weights, sp)
     segments = tuple(_visit_case(v) for v in visits)
@@ -529,10 +486,10 @@ def _shared_gap(sp_sub: Sequence[Point], x_sub: Sequence[Point]) -> bool:
 def _shared_pivot(sp_sub: Sequence[Point]) -> Tuple[Corner, Tuple[Edge, ...]]:
     a, b = sp_sub[0], sp_sub[1]
     mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-    kind, payload = _edges_containing(mid)
+    kind, where = _boundary_location(mid, _EPS_ON)
     if kind == "corner":
-        return payload, ()
-    edge = payload[0]
+        return where, ()
+    edge = where[0]
     return edge[0], (edge,)
 
 
@@ -541,15 +498,15 @@ def _classify(
 ) -> Tuple[int, Corner, Tuple[Edge, ...]]:
     cands: List[Set[Corner]] = []
     for u in (sp_sub[0], sp_sub[-1]):
-        kind, payload = _edges_containing(u)
+        kind, where = _boundary_location(u, _EPS_ON)
         if kind == "corner":
-            cands.append({payload} | set(adjacent_corners(payload)))
+            cands.append({where} | set(adjacent_corners(where)))
         else:
-            cands.append({c for e in payload for c in e})
+            cands.append({c for e in where for c in e})
     shared_corners = cands[0] & cands[1]
     if not shared_corners:
         raise TopologyError("pocket endpoints share no corner")
-    on_x = {c for p in x_sub for c in [_snap_corner_loose(p)] if c is not None}
+    on_x = {where for kind, where in (locate_point(p, _EPS_ON) for p in x_sub) if kind == "corner"}
     order = sorted(shared_corners, key=lambda c: (c not in on_x, c[1], c[0]))
     for pivot in order:
         pp = corner_position(pivot)
@@ -605,54 +562,7 @@ def coincidence_decomposition(
     return CoincidenceDecomposition(points, tuple(polygons), sp_pts, x)
 
 
-def polygon_metrics(gap: GapPolygon) -> PolygonMetrics:
-    """Side lengths of a pocket; see PolygonMetrics for the field layout."""
-    u0, u1 = gap.sp_points[0], gap.sp_points[-1]
-    c = math.dist(u0, u1)
-    x_first = math.dist(gap.x_points[0], gap.x_points[1]) if len(gap.x_points) > 1 else 0.0
-    x_last = math.dist(gap.x_points[-2], gap.x_points[-1]) if len(gap.x_points) > 1 else 0.0
-    sp_first = math.dist(gap.sp_points[0], gap.sp_points[1]) if len(gap.sp_points) > 1 else 0.0
-    sp_last = math.dist(gap.sp_points[-2], gap.sp_points[-1]) if len(gap.sp_points) > 1 else 0.0
-    if gap.kind == 2:
-        pv = corner_position(gap.pivot)
-        return PolygonMetrics(2, math.dist(u0, pv), math.dist(pv, u1), c, x_first, x_last)
-    return PolygonMetrics(gap.kind, x_first, x_last, c, sp_first, sp_last)
-
-
-# -- composed and shortcut paths --------------------------------------------
-
-
-def compose_grid_path(
-    s: Corner, vs: Sequence[Corner], t: Corner, x: CrossingPath
-) -> Tuple[Corner, ...]:
-    """Corner walk built from x's prefix to vs[0], vs itself, and x's suffix.
-
-    vs must be a walk on adjacent corners whose ends appear on x; the
-    prefix ends at the first occurrence of vs[0] and the suffix starts at
-    the last occurrence of vs[-1].
-    """
-    vs = tuple(vs)
-    if not vs:
-        raise ValueError("replacement walk is empty")
-    for k in range(len(vs) - 1):
-        if not are_adjacent(vs[k], vs[k + 1]):
-            raise ValueError(f"replacement corners {vs[k]!r}, {vs[k + 1]!r} not adjacent")
-    corners = x.corners
-    if corners[0] != s or corners[-1] != t:
-        raise ValueError("crossing path does not run between the given endpoints")
-    try:
-        i1 = corners.index(vs[0])
-        i2 = len(corners) - 1 - corners[::-1].index(vs[-1])
-    except ValueError:
-        raise ValueError("replacement endpoints do not appear on the crossing path")
-    if i2 < i1:
-        raise ValueError("replacement endpoints out of order on the crossing path")
-    merged = list(corners[: i1 + 1]) + list(vs[1:]) + list(corners[i2 + 1 :])
-    out: List[Corner] = [merged[0]]
-    for corner in merged[1:]:
-        if corner != out[-1]:
-            out.append(corner)
-    return tuple(out)
+# -- shortcut paths -----------------------------------------------------------
 
 
 def shortcut_paths(x: CrossingPath, tess: Tessellation) -> Tuple[Shortcut, ...]:
@@ -690,6 +600,12 @@ def _traversed_cells(tess: Tessellation, points: Sequence[Point]) -> Set[Cell]:
 def _equalize_core(
     weights: WeightMap, sp: Sequence[Point], cell: Cell, tess: Tessellation
 ) -> Tuple[WeightMap, Cell, Cell]:
+    """Freeze the path's corridor and reprice cell to its neighbour sum.
+
+    Cells the polyline never pays for become unreachable and the given
+    cell's weight is replaced by the sum of the weights of its predecessor
+    and successor along the polyline, which are returned with the new map.
+    """
     if not tess.in_domain(cell):
         raise ValueError(f"cell outside the window: {cell!r}")
     visits = _visit_sequence(tess, weights, sp)
@@ -717,18 +633,6 @@ def _equalize_core(
     return WeightMap(values), prev_cell, next_cell
 
 
-def equalize_shortcut_weights(
-    weights: WeightMap, sp: Sequence[Point], cell: Cell, tess: Tessellation
-) -> WeightMap:
-    """Freeze the path's corridor and reprice cell to its neighbour sum.
-
-    Cells the polyline never pays for become unreachable and the given
-    cell's weight is replaced by the sum of the weights of its predecessor
-    and successor along the polyline.
-    """
-    return _equalize_core(weights, sp, cell, tess)[0]
-
-
 # -- per-pocket ratios --------------------------------------------------------
 
 
@@ -747,13 +651,10 @@ def _p2_equalized(
     u0, u1 = gap.sp_points[0], gap.sp_points[-1]
 
     def on_edge(p: Point) -> Optional[Edge]:
-        for e in gap.cut_edges:
-            pa, pb = corner_position(e[0]), corner_position(e[1])
-            if _seg_point_dist(p, pa, pb) <= _EPS_ON:
-                if math.dist(p, pa) <= _EPS_ON or math.dist(p, pb) <= _EPS_ON:
-                    raise EqualizeError("pocket endpoint sits at a corner")
-                return e
-        return None
+        kind, where = locate_point(p, _EPS_ON)
+        if kind == "corner" and any(where in e for e in gap.cut_edges):
+            raise EqualizeError("pocket endpoint sits at a corner")
+        return next((e for e in gap.cut_edges if kind == "edges" and e in where), None)
 
     e1, e2 = on_edge(u0), on_edge(u1)
     if e1 is None or e2 is None or e1 == e2:
@@ -765,8 +666,14 @@ def _p2_equalized(
     if not tess.in_domain(shortcut_cell):
         raise EqualizeError("shortcut cell outside the window")
     for p in gap.sp_points:
-        rho, u, v = _affine(p)
-        if _cell_margin(shortcut_cell, rho, u, v) < -_EPS_ON:
+        kind, where = locate_point(p, _EPS_ON)
+        if kind == "corner":
+            inside = where in cell_vertices(shortcut_cell)
+        elif kind == "edges":
+            inside = any(e in cell_edges(shortcut_cell) for e in where)
+        else:
+            inside = where == shortcut_cell
+        if not inside:
             raise EqualizeError("inner path leaves the shortcut cell")
     equalized, prev_cell, next_cell = _equalize_core(weights, d.sp_points, shortcut_cell, tess)
     across1 = next(c for c in edge_cells(e1) if c != shortcut_cell)
@@ -817,20 +724,6 @@ def per_polygon_ratios(
     return tuple(out)
 
 
-def mediant_upper_bound(parts: Iterable[Tuple[float, float]]) -> float:
-    """Largest part ratio; a sum-of-parts ratio can never exceed it."""
-    best = None
-    for num, den in parts:
-        if den <= 0.0:
-            raise ValueError("part with nonpositive denominator")
-        r = num / den
-        if best is None or r > best:
-            best = r
-    if best is None:
-        raise ValueError("no parts")
-    return best
-
-
 # -- full report ---------------------------------------------------------------
 
 
@@ -854,7 +747,7 @@ def ratio_report(
     """
     oracle = refine_until(tess, weights, s, t, rel_tol=rel_tol, max_level=max_level)
     if s == t:
-        return RatioReport(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, (0,) * 6, 0, True, ())
+        return RatioReport(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, (0,) * 6, 0, True, (), oracle.path)
     sgp = shortest_grid_path(tess, weights, s, t)
     svp = shortest_vertex_path(tess, weights, s, t)
     x = crossing_path(oracle.path, weights, tess)
@@ -878,6 +771,7 @@ def ratio_report(
         level=oracle.level,
         converged=oracle.converged,
         polygons=polygons,
+        sp_path=oracle.path,
     )
 
 

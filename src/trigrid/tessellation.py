@@ -3,8 +3,21 @@
 Corners are indexed by integer pairs (i, j) with i + j even and sit at
 (i, j * sqrt(3)); every triangle side has length 2. Cells are indexed by
 (row, col) and point upward when row + col is even, downward otherwise.
-Geometric predicates work on the unbounded lattice; the Tessellation class
-adds the rows x cols window of cells that may carry weight.
+
+Points are located in the frame rho = y / sqrt(3), u = x - rho,
+v = x + rho. Corner (i, j) is (rho, u, v) = (j, i - j, i + j). Lattice
+lines sit at integer rho (horizontal) and at even u and even v (the two
+diagonal families); a point lies |rho - k| * sqrt(3) from the line
+rho = k and |u - k| * sqrt(3) / 2 from the line u = k, and likewise for v.
+A point inside a cell lies in cell (floor(rho), floor(u / 2) + floor(v / 2)).
+locate_point(p, tol) answers in this order of precedence: the corner
+within tol of p, else every edge whose closed segment lies within tol,
+else the cell. The tolerance is an argument because callers use both
+EPS_GEO and a looser one for points derived from intersections.
+
+Geometric predicates, locate_point among them, work on the unbounded
+lattice; the Tessellation class adds the rows x cols window of cells that
+may carry weight.
 """
 
 import math
@@ -15,7 +28,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 SQRT3 = math.sqrt(3.0)
-HALF_SQRT3 = SQRT3 / 2.0
 
 # Geometry tolerance in plane units; the shortest lattice feature has size 1.
 EPS_GEO = 1e-9
@@ -122,6 +134,11 @@ def are_adjacent(a: Corner, b: Corner) -> bool:
     return (abs(di), abs(dj)) in ((2, 0), (1, 1))
 
 
+# The three families of lattice lines in the (rho, u, v) frame: lines sit at
+# multiples of the step, and a unit of the coordinate spans this plane distance.
+_FAMILIES = (("rho", 1, SQRT3), ("u", 2, SQRT3 / 2.0), ("v", 2, SQRT3 / 2.0))
+
+
 def _affine(p: Point) -> Tuple[float, float, float]:
     """Map a point to (rho, u, v); lattice lines sit at integer rho and even u, v."""
     x, y = p
@@ -129,81 +146,57 @@ def _affine(p: Point) -> Tuple[float, float, float]:
     return (rho, x - rho, x + rho)
 
 
-def _cell_margin(cell: Cell, rho: float, u: float, v: float) -> float:
-    """Smallest signed distance from the point to the cell's supporting lines."""
-    row, col = cell
-    if is_upward(cell):
-        return min(
-            (rho - row) * SQRT3,
-            (u - (col - row)) * HALF_SQRT3,
-            ((col + 2 + row) - v) * HALF_SQRT3,
-        )
-    return min(
-        ((row + 1) - rho) * SQRT3,
-        ((col + 1 - row) - u) * HALF_SQRT3,
-        (v - (col + 1 + row)) * HALF_SQRT3,
-    )
+def locate_point(p: Point, tol: float):
+    """Where p sits: ("corner", corner), ("edges", edges) or ("cell", cell).
 
-
-def _locate_cell(p: Point) -> Cell:
-    """Lattice cell containing p, chosen by maximum boundary clearance."""
+    A corner within Euclidean distance tol wins. Otherwise the answer is
+    every lattice edge whose closed segment lies within tol, sorted by the
+    (j, i) of their ends, and otherwise the cell whose interior holds p.
+    The window plays no part.
+    """
     rho, u, v = _affine(p)
-    row0 = math.floor(rho)
-    col0 = math.floor(p[0])
-    best = None
-    best_margin = -math.inf
-    for row in (row0 - 1, row0, row0 + 1):
-        for col in range(col0 - 2, col0 + 2):
-            margin = _cell_margin((row, col), rho, u, v)
-            if margin > best_margin:
-                best, best_margin = (row, col), margin
-    return best
+    i, j = round(p[0]), round(rho)
+    if (i + j) % 2 == 0 and math.dist(p, (i, j * SQRT3)) <= tol:
+        return ("corner", (i, j))
+    edges = []
+    for (fam, step, scale), a in zip(_FAMILIES, (rho, u, v)):
+        k = step * round(a / step)
+        if abs(a - k) * scale <= tol:
+            edges.append(_edge_on_line(fam, k, p))
+    if edges:
+        return ("edges", tuple(sorted(edges, key=lambda e: (e[0][1], e[0][0], e[1][1], e[1][0]))))
+    return ("cell", _cell_at(rho, u, v))
 
 
-def _nearest_corner(p: Point) -> Optional[Corner]:
-    i, j = round(p[0]), round(p[1] / SQRT3)
-    if (i + j) % 2 == 0 and math.dist(p, (i, j * SQRT3)) <= EPS_GEO:
-        return (i, j)
-    return None
-
-
-def _snap_corner(p: Point) -> Point:
-    corner = _nearest_corner(p)
-    return corner_position(corner) if corner is not None else p
-
-
-def _nearest_edge(p: Point) -> Optional[Edge]:
-    """Edge whose line passes within EPS_GEO of p; p must not sit at a corner."""
-    rho, u, v = _affine(p)
-    if abs(rho - round(rho)) * SQRT3 <= EPS_GEO:
-        return _edge_on_line("rho", round(rho), p)
-    for fam, val in (("u", u), ("v", v)):
-        k = 2 * round(val / 2.0)
-        if abs(val - k) * HALF_SQRT3 <= EPS_GEO:
-            return _edge_on_line(fam, k, p)
-    return None
+def _cell_at(rho: float, u: float, v: float) -> Cell:
+    """The cell whose interior holds the point (rho, u, v)."""
+    return (math.floor(rho), math.floor(u / 2.0) + math.floor(v / 2.0))
 
 
 def _edge_on_line(fam: str, k: int, p: Point) -> Edge:
-    """The lattice edge of line (fam, k) whose span contains p."""
+    """The lattice edge of line (fam, k) that holds p's projection onto the line.
+
+    If p lies within some tol of the line but of no corner, this is the
+    line's only edge within tol: any other edge is nearest p at a corner.
+    """
     if fam == "rho":
         i0 = math.floor(p[0])
         if (i0 + k) % 2:
             i0 -= 1
         return ((i0, k), (i0 + 2, k))
-    j0 = math.floor(p[1] / SQRT3)
+    # with u = x - rho and v = x + rho, stepping straight onto the line moves
+    # rho by (u - k) / 4 for a u line and by (k - v) / 4 for a v line
+    rho = p[1] / SQRT3
     if fam == "u":
+        j0 = math.floor(rho + (p[0] - rho - k) / 4.0)
         return ((k + j0, j0), (k + j0 + 1, j0 + 1))
+    j0 = math.floor(rho - (p[0] + rho - k) / 4.0)
     return ((k - j0, j0), (k - j0 - 1, j0 + 1))
 
 
 def _collinear_lattice_line(p: Point, q: Point) -> Optional[Tuple[str, int]]:
-    (rp, up, vp), (rq, uq, vq) = _affine(p), _affine(q)
-    for fam, a, b, tol, step in (
-        ("rho", rp, rq, EPS_GEO / SQRT3, 1),
-        ("u", up, uq, EPS_GEO / HALF_SQRT3, 2),
-        ("v", vp, vq, EPS_GEO / HALF_SQRT3, 2),
-    ):
+    for (fam, step, scale), a, b in zip(_FAMILIES, _affine(p), _affine(q)):
+        tol = EPS_GEO / scale
         k = step * round(a / step)
         if abs(a - k) <= tol and abs(b - k) <= tol:
             return (fam, k)
@@ -272,17 +265,11 @@ def _walk_across_cells(p: Point, q: Point, length: float) -> List[WalkRecord]:
     eps_t = EPS_GEO / length
     (rp, up, vp), (rq, uq, vq) = _affine(p), _affine(q)
     ts = [0.0, 1.0]
-    for a, b, step in ((rp, rq, 1), (up, uq, 2), (vp, vq, 2)):
+    for (_, step, _), a, b in zip(_FAMILIES, (rp, up, vp), (rq, uq, vq)):
         ts.extend(_line_crossings(a, b, step, eps_t))
     records = []
-    events = _merged_events(ts, eps_t)
-    for ta, tb in zip(events, events[1:]):
-        entry = _snap_corner(_lerp(p, q, ta)) if ta > 0.0 else p
-        exit_ = _snap_corner(_lerp(p, q, tb)) if tb < 1.0 else q
-        if math.dist(entry, exit_) <= EPS_GEO:
-            continue
-        mid = ((entry[0] + exit_[0]) / 2.0, (entry[1] + exit_[1]) / 2.0)
-        records.append(WalkRecord(_locate_cell(mid), entry, exit_, INTERIOR_CROSSING))
+    for entry, exit_, mid in _pieces(p, q, _merged_events(ts, eps_t)):
+        records.append(WalkRecord(_cell_at(*_affine(mid)), entry, exit_, INTERIOR_CROSSING))
     return records
 
 
@@ -299,16 +286,28 @@ def _walk_along_line(
         if -eps_t < t < 1.0 + eps_t:
             ts.append(min(1.0, max(0.0, t)))
     records = []
-    events = _merged_events(ts, eps_t)
-    for ta, tb in zip(events, events[1:]):
-        entry = _snap_corner(_lerp(p, q, ta)) if ta > 0.0 else p
-        exit_ = _snap_corner(_lerp(p, q, tb)) if tb < 1.0 else q
-        if math.dist(entry, exit_) <= EPS_GEO:
-            continue
-        mid = ((entry[0] + exit_[0]) / 2.0, (entry[1] + exit_[1]) / 2.0)
+    for entry, exit_, mid in _pieces(p, q, _merged_events(ts, eps_t)):
         edge = _edge_on_line(fam, k, mid)
         records.append(WalkRecord(edge_cells(edge)[0], entry, exit_, EDGE_COLLINEAR, edge))
     return records
+
+
+def _pieces(p: Point, q: Point, events: List[float]):
+    """(entry, exit, midpoint) of each piece between events longer than EPS_GEO.
+
+    Inner event points within EPS_GEO of a corner snap to it; p and q stay exact.
+    """
+    points = [p]
+    for t in events[1:-1]:
+        point = _lerp(p, q, t)
+        kind, where = locate_point(point, EPS_GEO)
+        points.append(corner_position(where) if kind == "corner" else point)
+    points.append(q)
+    return [
+        (a, b, ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))
+        for a, b in zip(points, points[1:])
+        if math.dist(a, b) > EPS_GEO
+    ]
 
 
 def _corners_on_line(fam: str, k: int, p: Point, q: Point) -> List[Corner]:
@@ -383,24 +382,3 @@ class Tessellation:
         i, j = self.corner_array.T
         grid[j, i] = np.arange(len(i))
         return grid
-
-    def locate_point(self, p: Point):
-        """Classify a point: ('corner', c), ('edge', e), ('cell', c) or ('outside', None).
-
-        Corners win over edges, edges over cell interiors; anything not
-        touching an in-window cell is outside.
-        """
-        corner = _nearest_corner(p)
-        if corner is not None:
-            if self.valid_corner(corner):
-                return ("corner", corner)
-            return ("outside", None)
-        edge = _nearest_edge(p)
-        if edge is not None:
-            if any(self.in_domain(c) for c in edge_cells(edge)):
-                return ("edge", edge)
-            return ("outside", None)
-        cell = _locate_cell(p)
-        if self.in_domain(cell):
-            return ("cell", cell)
-        return ("outside", None)

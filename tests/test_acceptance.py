@@ -119,8 +119,7 @@ def test_criterion_3_solver_ordering(sweep):
 def test_criterion_4_crossing_path_machinery(sweep):
     instances, reports, _ = sweep
     for inst, rep in zip(instances, reports):
-        oracle = refine_until(inst.tessellation, inst.weights, inst.source, inst.target)
-        x = crossing_path(oracle.path, inst.weights, inst.tessellation)
+        x = crossing_path(rep.sp_path, inst.weights, inst.tessellation)
         assert x.corners[0] == inst.source
         assert x.corners[-1] == inst.target
         for a, b in zip(x.corners, x.corners[1:]):

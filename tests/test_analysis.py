@@ -17,15 +17,12 @@ from trigrid.analysis import (
     MalformedPathError,
     Shortcut,
     _classify,
+    _equalize_core,
     coincidence_decomposition,
-    compose_grid_path,
     crossing_path,
-    equalize_shortcut_weights,
     grid_path_cost,
     law_of_cosines_dist,
-    mediant_upper_bound,
     per_polygon_ratios,
-    polygon_metrics,
     ratio_report,
     search_p2_anomaly,
     shortcut_paths,
@@ -218,9 +215,11 @@ class TestRefractionPockets:
     def test_kind_two_legs_obey_law_of_cosines(self, decomposition):
         _, _, _, _, d = decomposition
         gap = d.polygons[0]
-        m = polygon_metrics(gap)
-        assert m.kind == 2
-        assert law_of_cosines_dist(m.a, m.b) == pytest.approx(m.c, abs=1e-9)
+        assert gap.kind == 2
+        # the pivot legs a and b of the pocket and its chord c
+        u0, u1, pv = gap.sp_points[0], gap.sp_points[-1], corner_position(gap.pivot)
+        a, b, c = math.dist(u0, pv), math.dist(pv, u1), math.dist(u0, u1)
+        assert law_of_cosines_dist(a, b) == pytest.approx(c, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -296,29 +295,6 @@ class TestComposeAndShortcuts:
         _, _, _, _, x = corridor
         assert x.corners == ((0, 2), (1, 1), (2, 2), (4, 2))
 
-    def test_full_vertex_list_reproduces_the_path(self, corridor):
-        _, _, s, t, x = corridor
-        assert compose_grid_path(s, x.corners, t, x) == x.corners
-
-    def test_single_vertex_reproduces_the_path(self, corridor):
-        _, _, s, t, x = corridor
-        assert compose_grid_path(s, ((1, 1),), t, x) == x.corners
-
-    def test_edge_replacement_drops_the_detour(self, corridor):
-        _, _, s, t, x = corridor
-        out = compose_grid_path(s, ((0, 2), (2, 2)), t, x)
-        assert out == ((0, 2), (2, 2), (4, 2))
-
-    def test_rejects_non_adjacent_replacement(self, corridor):
-        _, _, s, t, x = corridor
-        with pytest.raises(ValueError):
-            compose_grid_path(s, ((0, 2), (4, 2)), t, x)
-
-    def test_rejects_vertices_off_the_path(self, corridor):
-        _, _, s, t, x = corridor
-        with pytest.raises(ValueError):
-            compose_grid_path(s, ((3, 1),), t, x)
-
     def test_corridor_has_one_shortcut(self, corridor):
         tess, w, s, t, x = corridor
         (sc,) = shortcut_paths(x, tess)
@@ -340,49 +316,49 @@ class TestEqualize:
 
     def test_reprices_to_neighbour_sum(self):
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
-        out = equalize_shortcut_weights(w, self.seg, (0, 2), self.tess)
+        out = _equalize_core(w, self.seg, (0, 2), self.tess)[0]
         assert out.values[0].tolist() == [1.0, 1.0, 2.0, 1.0]
 
     def test_reprices_even_when_already_cheap(self):
         w = WeightMap([[1.0, 1.0, 1.0, 1.0]])
-        out = equalize_shortcut_weights(w, self.seg, (0, 2), self.tess)
+        out = _equalize_core(w, self.seg, (0, 2), self.tess)[0]
         assert out.values[0].tolist() == [1.0, 1.0, 2.0, 1.0]
 
     def test_keeps_an_equalized_weight(self):
         w = WeightMap([[1.0, 1.0, 2.0, 1.0]])
-        out = equalize_shortcut_weights(w, self.seg, (0, 2), self.tess)
+        out = _equalize_core(w, self.seg, (0, 2), self.tess)[0]
         assert out.values[0].tolist() == [1.0, 1.0, 2.0, 1.0]
 
     def test_blocks_cells_off_the_corridor(self):
         tess = Tessellation(2, 3)
         w = WeightMap([[1.0, 1.0, 3.0], [2.0, 2.0, 2.0]])
-        out = equalize_shortcut_weights(w, self.seg, (0, 1), tess)
+        out = _equalize_core(w, self.seg, (0, 1), tess)[0]
         assert out.values[0].tolist() == [1.0, 4.0, 3.0]
         assert np.isinf(out.values[1]).all()
 
     def test_rejects_infinite_neighbour(self):
         w = WeightMap([[1.0, INF, 3.0, 1.0]])
         with pytest.raises(EqualizeError, match="finite"):
-            equalize_shortcut_weights(w, self.seg, (0, 2), self.tess)
+            _equalize_core(w, self.seg, (0, 2), self.tess)
 
     def test_rejects_endpoint_cells(self):
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         with pytest.raises(EqualizeError, match="predecessor"):
-            equalize_shortcut_weights(w, self.seg, (0, 0), self.tess)
+            _equalize_core(w, self.seg, (0, 0), self.tess)
         with pytest.raises(EqualizeError, match="successor"):
-            equalize_shortcut_weights(w, self.seg, (0, 3), self.tess)
+            _equalize_core(w, self.seg, (0, 3), self.tess)
 
     def test_rejects_untraversed_cell(self):
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         short = [(0.0, 0.0), (2.5, SQRT3 / 2.0)]
         with pytest.raises(EqualizeError, match="not traversed"):
-            equalize_shortcut_weights(w, short, (0, 3), self.tess)
+            _equalize_core(w, short, (0, 3), self.tess)
 
     def test_rejects_repeated_traversal(self):
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         back_and_forth = [(0.0, 0.0), (2.5, SQRT3 / 2.0), (0.5, SQRT3 / 2.0)]
         with pytest.raises(EqualizeError, match="more than once"):
-            equalize_shortcut_weights(w, back_and_forth, (0, 0), self.tess)
+            _equalize_core(w, back_and_forth, (0, 0), self.tess)
 
 
 class TestDegenerateAndMediant:
@@ -405,15 +381,6 @@ class TestDegenerateAndMediant:
         )
         with pytest.raises(DegeneratePolygonError):
             per_polygon_ratios(d, w, tess)
-
-    def test_mediant_is_the_largest_part(self):
-        assert mediant_upper_bound([(1.0, 1.0), (3.0, 2.0), (1.0, 4.0)]) == 1.5
-
-    def test_mediant_rejects_bad_parts(self):
-        with pytest.raises(ValueError):
-            mediant_upper_bound([(1.0, 0.0)])
-        with pytest.raises(ValueError):
-            mediant_upper_bound([])
 
 
 class TestRatioReport:

@@ -1,9 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from trigrid.analysis import _EPS_ON
 from trigrid.tessellation import (
+    CORNER_STEPS_CCW,
     EDGE_COLLINEAR,
     EPS_GEO,
     INTERIOR_CROSSING,
@@ -18,6 +20,7 @@ from trigrid.tessellation import (
     edge_cells,
     edge_key,
     is_upward,
+    locate_point,
     segment_walk,
 )
 
@@ -221,9 +224,147 @@ def test_tessellation_corners_cover_window():
 
 def test_locate_point_priorities():
     tess = Tessellation(3, 4)
-    assert tess.locate_point((2.0, 0.0)) == ("corner", (2, 0))
-    kind, edge = tess.locate_point((1.0, 0.0))
-    assert kind == "edge" and edge == ((0, 0), (2, 0))
-    assert tess.locate_point((1.0, 0.5)) == ("cell", (0, 0))
-    assert tess.locate_point((-3.0, 0.5)) == ("outside", None)
-    assert tess.locate_point((40.0, 40.0)) == ("outside", None)
+    assert locate_point((2.0, 0.0), EPS_GEO) == ("corner", (2, 0))
+    assert tess.valid_corner((2, 0))
+    kind, edges = locate_point((1.0, 0.0), EPS_GEO)
+    assert kind == "edges" and edges == (((0, 0), (2, 0)),)
+    assert any(tess.in_domain(c) for c in edge_cells(edges[0]))
+    assert locate_point((1.0, 0.5), EPS_GEO) == ("cell", (0, 0))
+    assert tess.in_domain((0, 0))
+    for p in ((-3.0, 0.5), (40.0, 40.0)):
+        kind, cell = locate_point(p, EPS_GEO)
+        assert kind == "cell" and not tess.in_domain(cell)
+
+
+# -- brute-force references for locate_point ------------------------------------
+
+
+def _ref_cell_margin(cell, p):
+    """Smallest signed distance from p to the cell's supporting lines."""
+    row, col = cell
+    rho = p[1] / SQRT3
+    u, v = p[0] - rho, p[0] + rho
+    if is_upward(cell):
+        return min(
+            (rho - row) * SQRT3,
+            (u - (col - row)) * SQRT3 / 2.0,
+            ((col + 2 + row) - v) * SQRT3 / 2.0,
+        )
+    return min(
+        ((row + 1) - rho) * SQRT3,
+        ((col + 1 - row) - u) * SQRT3 / 2.0,
+        (v - (col + 1 + row)) * SQRT3 / 2.0,
+    )
+
+
+def _ref_cell(p):
+    """The cell of largest boundary clearance among 12 candidates around p."""
+    row0, col0 = math.floor(p[1] / SQRT3), math.floor(p[0])
+    cands = [(row, col) for row in (row0 - 1, row0, row0 + 1) for col in range(col0 - 2, col0 + 2)]
+    return max(cands, key=lambda c: _ref_cell_margin(c, p))
+
+
+def _ref_corner(p, tol):
+    """The corner within Euclidean distance tol, and that distance."""
+    i, j = round(p[0]), round(p[1] / SQRT3)
+    if (i + j) % 2:
+        return None, math.inf
+    d = math.dist(p, (i, j * SQRT3))
+    return ((i, j) if d <= tol else None), d
+
+
+def _ref_edge_distances(p):
+    """Distance from p to the closed segment of every lattice edge near it."""
+    i0, j0 = round(p[0]), round(p[1] / SQRT3)
+    out = {}
+    for j in range(j0 - 1, j0 + 2):
+        for i in range(i0 - 2, i0 + 3):
+            if (i + j) % 2:
+                continue
+            for di, dj in CORNER_STEPS_CCW:
+                nbr = (i + di, j + dj)
+                edge = edge_key((i, j), nbr)
+                out[edge] = _dist_point_segment(p, corner_position((i, j)), corner_position(nbr))
+    return out
+
+
+def _ref_locate(p, tol):
+    """locate_point by brute force, or None when a distance sits too near tol to call."""
+    corner, d_corner = _ref_corner(p, tol)
+    dists = _ref_edge_distances(p)
+    if any(abs(d - tol) <= 1e-13 for d in [d_corner, *dists.values()]):
+        return None
+    if corner is not None:
+        return ("corner", corner)
+    edges = sorted(
+        (e for e, d in dists.items() if d <= tol),
+        key=lambda e: (e[0][1], e[0][0], e[1][1], e[1][0]),
+    )
+    if edges:
+        return ("edges", tuple(edges))
+    return ("cell", _ref_cell(p))
+
+
+@st.composite
+def _points_near_lattice_features(draw):
+    """Points on or beside an edge, at or beside a corner, or inside a cell.
+
+    Offsets are drawn on the scale of one of the two tolerances in use, and
+    the annulus tol < |p - corner| <= 2 tol holds points within tol of two
+    lattice lines but of no corner.
+    """
+    i, j = draw(st.integers(-6, 6)), draw(st.integers(-4, 4))
+    corner = (i + (i + j) % 2, j)
+    cx, cy = corner_position(corner)
+    scale = draw(st.sampled_from((EPS_GEO, _EPS_ON)))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    where = draw(st.sampled_from(("edge", "corner", "annulus", "interior")))
+    if where == "edge":
+        di, dj = draw(st.sampled_from(CORNER_STEPS_CCW))
+        f = draw(st.floats(0.0, 1.0))
+        off = draw(st.floats(-2.0 * scale, 2.0 * scale))
+        # unit normal of the edge, whose direction is (di, dj * sqrt(3)) / 2
+        nx, ny = -dj * SQRT3 / 2.0, di / 2.0
+        return (cx + f * di + off * nx, cy + f * dj * SQRT3 + off * ny)
+    if where in ("corner", "annulus"):
+        lo, hi = (0.0, 1.0) if where == "corner" else (1.0, 2.0)
+        r = scale * draw(st.floats(lo, hi, exclude_min=where == "annulus"))
+        return (cx + r * math.cos(theta), cy + r * math.sin(theta))
+    a, b = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    if a + b > 1.0:
+        a, b = 1.0 - a, 1.0 - b
+    verts = [corner_position(c) for c in cell_vertices((j, i))]
+    return tuple(
+        verts[0][k] + a * (verts[1][k] - verts[0][k]) + b * (verts[2][k] - verts[0][k])
+        for k in range(2)
+    )
+
+
+# Just outside the tol disc of corner (0, 0) and within tol of all three
+# lines through it: the projection onto the line through (1, 1) lies above
+# the corner while rho lies below it, so that line's edge follows from the
+# projection, not from floor(rho).
+_ANNULUS_EXAMPLES = [
+    (tol * (0.5 * 0.5 + 0.99 * SQRT3 / 2.0), tol * (0.5 * SQRT3 - 0.99) / 2.0)
+    for tol in (EPS_GEO, _EPS_ON)
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_points_near_lattice_features())
+@example(_ANNULUS_EXAMPLES[0])
+@example(_ANNULUS_EXAMPLES[1])
+def test_locate_point_matches_brute_force_references(p):
+    for tol in (EPS_GEO, _EPS_ON):
+        want = _ref_locate(p, tol)
+        if want is not None:
+            assert locate_point(p, tol) == want, (p, tol)
+
+
+def test_annulus_examples_sit_on_two_lines_off_the_corner():
+    for p, tol in zip(_ANNULUS_EXAMPLES, (EPS_GEO, _EPS_ON)):
+        assert tol < math.hypot(*p) <= 2.0 * tol
+        assert p[1] < 0.0
+        assert locate_point(p, tol) == (
+            "edges", (((1, -1), (0, 0)), ((0, 0), (2, 0)), ((0, 0), (1, 1)))
+        )
