@@ -6,6 +6,10 @@ two into pockets around pivot corners, prices each pocket, and checks the
 per-pocket and whole-path ratio bounds. It also houses the closed-form
 ratio constants and a randomized search for configurations whose corner
 path is poor but whose shortcut repair is near-optimal.
+
+The corner path runs on lattice edges, and SP meets the lattice only at
+the ends of its segment_walk pieces, so every contact is read off those
+ends with locate_point; nothing is intersected in the plane.
 """
 
 import logging
@@ -16,7 +20,7 @@ from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .grid_paths import shortest_grid_path, shortest_vertex_path
-from .metric import WeightMap, grid_edge_cost, polyline_cost, segment_cost
+from .metric import WeightMap, edge_weight, grid_edge_cost, polyline_cost, segment_cost
 from .oracle import DEFAULT_MAX_LEVEL, DEFAULT_REL_TOL, approx_shortest_path, refine_until
 from .tessellation import (
     CORNER_STEPS_CCW,
@@ -183,76 +187,7 @@ def law_of_cosines_dist(pv: float, vq: float) -> float:
     return math.sqrt(pv * pv + vq * vq - pv * vq)
 
 
-# -- plane geometry helpers ------------------------------------------------
-
-
-def _seg_point_dist(p: Point, a: Point, b: Point) -> float:
-    ax, ay = a
-    dx, dy = b[0] - ax, b[1] - ay
-    den = dx * dx + dy * dy
-    if den <= 1e-24:
-        return math.dist(p, a)
-    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / den
-    t = min(max(t, 0.0), 1.0)
-    return math.dist(p, (ax + t * dx, ay + t * dy))
-
-
-def _seg_events(a: Point, b: Point, c: Point, d: Point) -> List[Tuple[float, float]]:
-    """Intersection parameters (t on ab, s on cd), two entries for overlaps."""
-    d1x, d1y = b[0] - a[0], b[1] - a[1]
-    d2x, d2y = d[0] - c[0], d[1] - c[1]
-    len1 = math.hypot(d1x, d1y)
-    len2 = math.hypot(d2x, d2y)
-    if len1 <= 1e-12 or len2 <= 1e-12:
-        return []
-    qpx, qpy = c[0] - a[0], c[1] - a[1]
-    cross = d1x * d2y - d1y * d2x
-    if abs(cross) <= 1e-12 * len1 * len2:
-        if abs(qpx * d1y - qpy * d1x) / len1 > EPS_GEO:
-            return []
-        inv = 1.0 / (len1 * len1)
-        tc = (qpx * d1x + qpy * d1y) * inv
-        td = ((d[0] - a[0]) * d1x + (d[1] - a[1]) * d1y) * inv
-        lo, hi = min(tc, td), max(tc, td)
-        lo, hi = max(lo, 0.0), min(hi, 1.0)
-        if hi < lo - EPS_GEO / len1:
-            return []
-        hi = max(hi, lo)
-
-        def back(t: float) -> float:
-            return min(max((t - tc) / (td - tc), 0.0), 1.0)
-
-        if hi - lo <= 1e-12:
-            return [(lo, back(lo))]
-        return [(lo, back(lo)), (hi, back(hi))]
-    t = (qpx * d2y - qpy * d2x) / cross
-    s = (qpx * d1y - qpy * d1x) / cross
-    if -EPS_GEO / len1 <= t <= 1.0 + EPS_GEO / len1 and -EPS_GEO / len2 <= s <= 1.0 + EPS_GEO / len2:
-        return [(min(max(t, 0.0), 1.0), min(max(s, 0.0), 1.0))]
-    return []
-
-
-def _seg_seg_dist(a: Point, b: Point, c: Point, d: Point) -> float:
-    if _seg_events(a, b, c, d):
-        return 0.0
-    return min(
-        _seg_point_dist(a, c, d),
-        _seg_point_dist(b, c, d),
-        _seg_point_dist(c, a, b),
-        _seg_point_dist(d, a, b),
-    )
-
-
-def _seg_polyline_dist(a: Point, b: Point, pts: Sequence[Point]) -> float:
-    if len(pts) == 1:
-        return _seg_point_dist(pts[0], a, b)
-    return min(_seg_seg_dist(a, b, pts[k], pts[k + 1]) for k in range(len(pts) - 1))
-
-
-def _point_polyline_dist(p: Point, pts: Sequence[Point]) -> float:
-    if len(pts) == 1:
-        return math.dist(p, pts[0])
-    return min(_seg_point_dist(p, pts[k], pts[k + 1]) for k in range(len(pts) - 1))
+# -- polylines ----------------------------------------------------------------
 
 
 def _cum_lengths(pts: Sequence[Point]) -> List[float]:
@@ -425,23 +360,30 @@ def grid_path_cost(weights: WeightMap, corners: Sequence[Corner]) -> float:
 
 
 def _coincidence_arcs(
-    sp_pts: Sequence[Point], x_pts: Sequence[Point]
+    pieces: Sequence[Tuple[float, float, WalkRecord]],
+    sp_end: float,
+    x: CrossingPath,
+    x_edges: Sequence[Edge],
+    x_cum: Sequence[float],
 ) -> List[Tuple[float, float]]:
-    """Arclength pairs where the two polylines meet, ordered along both."""
-    sp_cum, x_cum = _cum_lengths(sp_pts), _cum_lengths(x_pts)
+    """Arclength pairs where SP meets X, ordered along both.
+
+    SP meets X where one of its pieces' ends locates onto a corner of X, at
+    that corner's arc, or onto an edge of X, at the offset along the edge.
+    """
+    ends = [(lo, rec.entry) for lo, _, rec in pieces] + [(hi, rec.exit) for _, hi, rec in pieces]
     events: List[Tuple[float, float]] = []
-    for i in range(len(sp_pts) - 1):
-        a, b = sp_pts[i], sp_pts[i + 1]
-        la = sp_cum[i + 1] - sp_cum[i]
-        if la <= 1e-12:
-            continue
-        for j in range(len(x_pts) - 1):
-            c, d = x_pts[j], x_pts[j + 1]
-            lx = x_cum[j + 1] - x_cum[j]
-            if lx <= 1e-12:
-                continue
-            for t, s in _seg_events(a, b, c, d):
-                events.append((sp_cum[i] + t * la, x_cum[j] + s * lx))
+    # a point two pieces share is located once
+    for arc, p in dict.fromkeys(ends):
+        kind, where = locate_point(p, EPS_GEO)
+        if kind == "corner":
+            events += [(arc, x_cum[k]) for k, c in enumerate(x.corners) if c == where]
+        elif kind == "edges":
+            events += [
+                (arc, x_cum[k] + math.dist(corner_position(x.corners[k]), p))
+                for k, e in enumerate(x_edges)
+                if e in where
+            ]
     if not events:
         raise TopologyError("paths never meet; endpoints should coincide")
     events.sort()
@@ -468,19 +410,9 @@ def _coincidence_arcs(
         prev = max(chosen, prev)
     if out[0][0] > _ARC_TOL or out[0][1] > _ARC_TOL:
         raise TopologyError("paths do not coincide at the source")
-    if sp_cum[-1] - out[-1][0] > _ARC_TOL or x_cum[-1] - out[-1][1] > _ARC_TOL:
+    if sp_end - out[-1][0] > _ARC_TOL or x_cum[-1] - out[-1][1] > _ARC_TOL:
         raise TopologyError("paths do not coincide at the target")
     return out
-
-
-def _shared_gap(sp_sub: Sequence[Point], x_sub: Sequence[Point]) -> bool:
-    len_sp = _cum_lengths(sp_sub)[-1]
-    len_x = _cum_lengths(x_sub)[-1]
-    if abs(len_sp - len_x) > _EPS_ON:
-        return False
-    if any(_point_polyline_dist(p, x_sub) > _EPS_ON for p in sp_sub):
-        return False
-    return all(_point_polyline_dist(p, sp_sub) <= _EPS_ON for p in x_sub)
 
 
 def _shared_pivot(sp_sub: Sequence[Point]) -> Tuple[Corner, Tuple[Edge, ...]]:
@@ -496,6 +428,12 @@ def _shared_pivot(sp_sub: Sequence[Point]) -> Tuple[Corner, Tuple[Edge, ...]]:
 def _classify(
     sp_sub: Sequence[Point], x_sub: Sequence[Point]
 ) -> Tuple[int, Corner, Tuple[Edge, ...]]:
+    """Kind, pivot and cut edges of a pocket whose inner path is sp_sub.
+
+    sp_sub must hold every point where it meets the lattice as a vertex.
+    It touches a pivot-incident edge iff one of its vertices, located at
+    _EPS_ON, lies on that edge or on one of its ends.
+    """
     cands: List[Set[Corner]] = []
     for u in (sp_sub[0], sp_sub[-1]):
         kind, where = _boundary_location(u, _EPS_ON)
@@ -506,17 +444,17 @@ def _classify(
     shared_corners = cands[0] & cands[1]
     if not shared_corners:
         raise TopologyError("pocket endpoints share no corner")
+    located = [locate_point(p, _EPS_ON) for p in set(sp_sub)]
+    touched_corners = {where for kind, where in located if kind == "corner"}
+    touched_edges = {e for kind, where in located if kind == "edges" for e in where}
     on_x = {where for kind, where in (locate_point(p, _EPS_ON) for p in x_sub) if kind == "corner"}
     order = sorted(shared_corners, key=lambda c: (c not in on_x, c[1], c[0]))
     for pivot in order:
-        pp = corner_position(pivot)
+        ends = [(pivot[0] + step[0], pivot[1] + step[1]) for step in CORNER_STEPS_CCW]
         slots = [
             slot
-            for slot, step in enumerate(CORNER_STEPS_CCW)
-            if _seg_polyline_dist(
-                pp, corner_position((pivot[0] + step[0], pivot[1] + step[1])), sp_sub
-            )
-            <= _EPS_ON
+            for slot, end in enumerate(ends)
+            if {pivot, end} & touched_corners or edge_key(pivot, end) in touched_edges
         ]
         if not slots:
             continue
@@ -528,23 +466,31 @@ def _classify(
             start = slots[(gaps.index(max(gaps)) + 1) % k]
         else:
             start = slots[0]
-        ordered = [(start + m) % 6 for m in range(k)]
-        edges = tuple(
-            edge_key(pivot, (pivot[0] + CORNER_STEPS_CCW[s][0], pivot[1] + CORNER_STEPS_CCW[s][1]))
-            for s in ordered
-        )
-        return k, pivot, edges
+        return k, pivot, tuple(edge_key(pivot, ends[(start + m) % 6]) for m in range(k))
     raise TopologyError("pivot-incident edge contacts are not consecutive")
 
 
 def coincidence_decomposition(
     sp: Sequence[Point], x: CrossingPath, tess: Tessellation
 ) -> CoincidenceDecomposition:
-    """Full pocket decomposition of the region between the two paths."""
+    """Full pocket decomposition of the region between the two paths.
+
+    SP is walked once, unmerged, and every contact is read off the ends of
+    its pieces: where it meets X, and which edges a pocket touches. A pocket
+    is shared when its length matches X's and each of its pieces runs along
+    an edge of X in the pocket.
+    """
     sp_pts = tuple(sp)
     x_pts = tuple(corner_position(c) for c in x.corners)
-    arcs = _coincidence_arcs(sp_pts, x_pts)
     sp_cum, x_cum = _cum_lengths(sp_pts), _cum_lengths(x_pts)
+    # (SP arc at entry, SP arc at exit, piece)
+    pieces = [
+        (sp_cum[k] + math.dist(a, rec.entry), sp_cum[k] + math.dist(a, rec.exit), rec)
+        for k, a in enumerate(sp_pts[:-1])
+        for rec in segment_walk(a, sp_pts[k + 1])
+    ]
+    x_edges = [edge_key(a, b) for a, b in zip(x.corners, x.corners[1:])]
+    arcs = _coincidence_arcs(pieces, sp_cum[-1], x, x_edges, x_cum)
     points = tuple(_point_at(sp_pts, sp_cum, arc) for arc, _ in arcs)
     polygons: List[GapPolygon] = []
     for k in range(len(arcs) - 1):
@@ -553,11 +499,20 @@ def coincidence_decomposition(
             continue
         sp_sub = _slice_polyline(sp_pts, sp_cum, lo_sp, hi_sp)
         x_sub = _slice_polyline(x_pts, x_cum, lo_x, hi_x)
-        if _shared_gap(sp_sub, x_sub):
+        inside = [rec for lo, hi, rec in pieces if lo_sp <= lo and hi <= hi_sp]
+        x_run = {
+            e
+            for j, e in enumerate(x_edges)
+            if x_cum[j] < hi_x - _ARC_TOL and x_cum[j + 1] > lo_x + _ARC_TOL
+        }
+        if abs((hi_sp - lo_sp) - (hi_x - lo_x)) <= _EPS_ON and all(
+            rec.kind == EDGE_COLLINEAR and rec.edge in x_run for rec in inside
+        ):
             pivot, cut = _shared_pivot(sp_sub)
             polygons.append(GapPolygon(1, pivot, sp_sub, x_sub, cut, True))
             continue
-        kind, pivot, cut = _classify(sp_sub, x_sub)
+        contacts = (sp_sub[0], *(p for rec in inside for p in (rec.entry, rec.exit)), sp_sub[-1])
+        kind, pivot, cut = _classify(contacts, x_sub)
         polygons.append(GapPolygon(kind, pivot, sp_sub, x_sub, cut, False))
     return CoincidenceDecomposition(points, tuple(polygons), sp_pts, x)
 
@@ -582,19 +537,6 @@ def shortcut_paths(x: CrossingPath, tess: Tessellation) -> Tuple[Shortcut, ...]:
 
 
 # -- weight equalization -----------------------------------------------------
-
-
-def _traversed_cells(tess: Tessellation, points: Sequence[Point]) -> Set[Cell]:
-    """In-window cells a polyline pays for: interiors plus both collinear sides."""
-    out: Set[Cell] = set()
-    for k in range(len(points) - 1):
-        for rec in segment_walk(points[k], points[k + 1]):
-            if rec.kind == INTERIOR_CROSSING:
-                if tess.in_domain(rec.cell):
-                    out.add(rec.cell)
-            else:
-                out.update(c for c in edge_cells(rec.edge) if tess.in_domain(c))
-    return out
 
 
 def _equalize_core(
@@ -623,7 +565,10 @@ def _equalize_core(
     alpha, beta = weights.effective(prev_cell), weights.effective(next_cell)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise EqualizeError("neighbour weight is not finite")
-    traversed = _traversed_cells(tess, sp)
+    # the cells the polyline pays for: interiors, and both sides of a run along an edge
+    traversed = {
+        c for v in visits for c in (edge_cells(v.edge) if v.kind == EDGE_COLLINEAR else (v.cell,))
+    }
     values = weights.values.copy()
     for row in range(tess.rows):
         for col in range(tess.cols):
@@ -684,6 +629,18 @@ def _p2_equalized(
     return ratio, ratio <= RATIO_BOUND + RATIO_TOL
 
 
+def _edge_run_cost(weights: WeightMap, pts: Sequence[Point]) -> float:
+    """polyline_cost of a polyline whose every piece lies on one lattice edge."""
+    total = 0.0
+    for p, q in zip(pts, pts[1:]):
+        length = math.dist(p, q)
+        if length > EPS_GEO:
+            # a quarter of the piece reaches its own edge, but no corner and no other edge
+            _, (edge,) = locate_point(((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0), length / 4.0)
+            total += edge_weight(weights, edge) * length
+    return total
+
+
 def per_polygon_ratios(
     d: CoincidenceDecomposition, weights: WeightMap, tess: Tessellation
 ) -> Tuple[PolygonRatio, ...]:
@@ -696,7 +653,7 @@ def per_polygon_ratios(
     out: List[PolygonRatio] = []
     for gap in d.polygons:
         sp_cost = polyline_cost(weights, gap.sp_points)
-        x_cost = polyline_cost(weights, gap.x_points)
+        x_cost = _edge_run_cost(weights, gap.x_points)
         if sp_cost <= 1e-12:
             if x_cost > 1e-9:
                 raise DegeneratePolygonError(

@@ -144,6 +144,37 @@ def _origin_walk(dj: int, di: int) -> _Walk:
     return walk
 
 
+# Largest hop table built, in walk pieces of 28 bytes: 24x24 needs about
+# 0.87 M pieces (25 MB), 32x32 3.6 M and 48x48 26 M.
+MAX_HOP_PIECES = 2_000_000
+
+
+def _check_table_budget(tess: Tessellation) -> None:
+    """Refuse a window whose hop table would hold over MAX_HOP_PIECES pieces.
+
+    The pieces are counted per corner displacement, and counting stops at
+    the budget, so nothing of the table's size is allocated or walked. The
+    window's corners are the (i, j) with i + j even in a grid of rows + 1
+    by cols + 2, so of the nj x ni grid points a displacement can start
+    from, with the first in column i0, every other one is a corner, the
+    first one when i0 is even.
+    """
+    n_j, n_i = tess.rows + 1, tess.cols + 2
+    pieces = 0
+    for dj in range(n_j):
+        for di in range(-(n_i - 1), n_i):
+            if (di + dj) % 2 or (dj == 0 and di <= 0):
+                continue
+            starts = ((n_j - dj) * (n_i - abs(di)) + 1 - max(0, -di) % 2) // 2
+            if starts:
+                pieces += starts * len(_origin_walk(dj, di).lengths)
+            if pieces > MAX_HOP_PIECES:
+                raise ValueError(
+                    f"a {tess.rows}x{tess.cols} hop table needs more than the budget of "
+                    f"{MAX_HOP_PIECES} walk pieces"
+                )
+
+
 class CornerHopTable:
     """Flattened walk pieces for every pair of window corners.
 
@@ -153,10 +184,12 @@ class CornerHopTable:
     corner order have b - a in canonical form (dj > 0, or dj == 0 and
     di > 0), so each pair's pieces are gathered from the shared origin walk
     of its displacement and shifted onto a. Piece arrays are int32 where
-    they index, 28 bytes per piece with the float lengths.
+    they index, 28 bytes per piece with the float lengths. A window over
+    MAX_HOP_PIECES pieces is refused.
     """
 
     def __init__(self, tess: Tessellation):
+        _check_table_budget(tess)
         self.rows = tess.rows
         self.cols = tess.cols
         self.corners = tess.corners

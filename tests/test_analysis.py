@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trigrid.grid_paths import UnreachableError, shortest_grid_path
+from trigrid.instances import GenerationError, gen_random, gen_two_weight_maze
 from trigrid.metric import WeightMap, polyline_cost
 from trigrid.oracle import approx_shortest_path, refine_until
 from trigrid.analysis import (
+    _ARC_TOL,
+    _EPS_ON,
     RATIO_BOUND,
     CoincidenceDecomposition,
     CrossingPath,
@@ -16,8 +19,14 @@ from trigrid.analysis import (
     GapPolygon,
     MalformedPathError,
     Shortcut,
+    TopologyError,
+    _boundary_location,
     _classify,
+    _cum_lengths,
     _equalize_core,
+    _point_at,
+    _shared_pivot,
+    _slice_polyline,
     coincidence_decomposition,
     crossing_path,
     grid_path_cost,
@@ -29,7 +38,16 @@ from trigrid.analysis import (
     svp_lower_bound_constant,
     svp_lower_bound_witness_offset,
 )
-from trigrid.tessellation import SQRT3, Tessellation, corner_position
+from trigrid.tessellation import (
+    CORNER_STEPS_CCW,
+    EPS_GEO,
+    SQRT3,
+    Tessellation,
+    adjacent_corners,
+    corner_position,
+    edge_key,
+    locate_point,
+)
 
 INF = math.inf
 
@@ -354,6 +372,15 @@ class TestEqualize:
         with pytest.raises(EqualizeError, match="not traversed"):
             _equalize_core(w, short, (0, 3), self.tess)
 
+    def test_keeps_both_sides_of_a_run_along_an_edge(self):
+        # a run along the edge between (0, 1) and (1, 1), then across (0, 3) and (0, 4)
+        tess = Tessellation(2, 5)
+        w = WeightMap([[1.0, 1.0, 1.0, 3.0, 1.0], [1.0, 5.0, 1.0, 1.0, 1.0]])
+        sp = [(1.0, SQRT3), (3.0, SQRT3), (4.5, SQRT3 / 2.0), (6.0, 0.0)]
+        out, prev_cell, next_cell = _equalize_core(w, sp, (0, 3), tess)
+        assert (prev_cell, next_cell) == ((0, 1), (0, 4))
+        assert out.values.tolist() == [[INF, 1.0, INF, 2.0, 1.0], [INF, 5.0, INF, INF, INF]]
+
     def test_rejects_repeated_traversal(self):
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         back_and_forth = [(0.0, 0.0), (2.5, SQRT3 / 2.0), (0.5, SQRT3 / 2.0)]
@@ -457,6 +484,262 @@ class TestRatioReport:
                 assert pr.bound_ok
             if pr.equalized_ok is not None:
                 assert pr.equalized_ok
+
+
+# -- reference decomposition ----------------------------------------------------
+# Pockets found by intersecting every pair of SP and X segments and by
+# measuring segment distances in the plane. The decomposition reads its
+# contacts off SP's walk alone and must find the same pockets.
+
+
+def ref_seg_point_dist(p, a, b):
+    ax, ay = a
+    dx, dy = b[0] - ax, b[1] - ay
+    den = dx * dx + dy * dy
+    if den <= 1e-24:
+        return math.dist(p, a)
+    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / den
+    t = min(max(t, 0.0), 1.0)
+    return math.dist(p, (ax + t * dx, ay + t * dy))
+
+
+def ref_seg_events(a, b, c, d):
+    """Intersection parameters (t on ab, s on cd), two entries for overlaps."""
+    d1x, d1y = b[0] - a[0], b[1] - a[1]
+    d2x, d2y = d[0] - c[0], d[1] - c[1]
+    len1 = math.hypot(d1x, d1y)
+    len2 = math.hypot(d2x, d2y)
+    if len1 <= 1e-12 or len2 <= 1e-12:
+        return []
+    qpx, qpy = c[0] - a[0], c[1] - a[1]
+    cross = d1x * d2y - d1y * d2x
+    if abs(cross) <= 1e-12 * len1 * len2:
+        if abs(qpx * d1y - qpy * d1x) / len1 > EPS_GEO:
+            return []
+        inv = 1.0 / (len1 * len1)
+        tc = (qpx * d1x + qpy * d1y) * inv
+        td = ((d[0] - a[0]) * d1x + (d[1] - a[1]) * d1y) * inv
+        lo, hi = max(min(tc, td), 0.0), min(max(tc, td), 1.0)
+        if hi < lo - EPS_GEO / len1:
+            return []
+        hi = max(hi, lo)
+
+        def back(t):
+            return min(max((t - tc) / (td - tc), 0.0), 1.0)
+
+        if hi - lo <= 1e-12:
+            return [(lo, back(lo))]
+        return [(lo, back(lo)), (hi, back(hi))]
+    t = (qpx * d2y - qpy * d2x) / cross
+    s = (qpx * d1y - qpy * d1x) / cross
+    tol1, tol2 = EPS_GEO / len1, EPS_GEO / len2
+    if -tol1 <= t <= 1.0 + tol1 and -tol2 <= s <= 1.0 + tol2:
+        return [(min(max(t, 0.0), 1.0), min(max(s, 0.0), 1.0))]
+    return []
+
+
+def ref_seg_seg_dist(a, b, c, d):
+    if ref_seg_events(a, b, c, d):
+        return 0.0
+    return min(
+        ref_seg_point_dist(a, c, d),
+        ref_seg_point_dist(b, c, d),
+        ref_seg_point_dist(c, a, b),
+        ref_seg_point_dist(d, a, b),
+    )
+
+
+def ref_seg_polyline_dist(a, b, pts):
+    if len(pts) == 1:
+        return ref_seg_point_dist(pts[0], a, b)
+    return min(ref_seg_seg_dist(a, b, pts[k], pts[k + 1]) for k in range(len(pts) - 1))
+
+
+def ref_point_polyline_dist(p, pts):
+    if len(pts) == 1:
+        return math.dist(p, pts[0])
+    return min(ref_seg_point_dist(p, pts[k], pts[k + 1]) for k in range(len(pts) - 1))
+
+
+def ref_shared_gap(sp_sub, x_sub):
+    if abs(_cum_lengths(sp_sub)[-1] - _cum_lengths(x_sub)[-1]) > _EPS_ON:
+        return False
+    if any(ref_point_polyline_dist(p, x_sub) > _EPS_ON for p in sp_sub):
+        return False
+    return all(ref_point_polyline_dist(p, sp_sub) <= _EPS_ON for p in x_sub)
+
+
+def ref_classify(sp_sub, x_sub):
+    cands = []
+    for u in (sp_sub[0], sp_sub[-1]):
+        kind, where = _boundary_location(u, _EPS_ON)
+        if kind == "corner":
+            cands.append({where} | set(adjacent_corners(where)))
+        else:
+            cands.append({c for e in where for c in e})
+    if not cands[0] & cands[1]:
+        raise TopologyError("pocket endpoints share no corner")
+    on_x = {where for kind, where in (locate_point(p, _EPS_ON) for p in x_sub) if kind == "corner"}
+    for pivot in sorted(cands[0] & cands[1], key=lambda c: (c not in on_x, c[1], c[0])):
+        ends = [(pivot[0] + di, pivot[1] + dj) for di, dj in CORNER_STEPS_CCW]
+        pp = corner_position(pivot)
+        slots = [
+            slot
+            for slot, end in enumerate(ends)
+            if ref_seg_polyline_dist(pp, corner_position(end), sp_sub) <= _EPS_ON
+        ]
+        if not slots:
+            continue
+        k = len(slots)
+        if 1 < k < 6:
+            gaps = [(slots[(r + 1) % k] - slots[r]) % 6 for r in range(k)]
+            if sum(1 for g in gaps if g > 1) != 1:
+                continue
+            start = slots[(gaps.index(max(gaps)) + 1) % k]
+        else:
+            start = slots[0]
+        return k, pivot, tuple(edge_key(pivot, ends[(start + m) % 6]) for m in range(k))
+    raise TopologyError("pivot-incident edge contacts are not consecutive")
+
+
+def ref_coincidence_arcs(sp_pts, x_pts):
+    sp_cum, x_cum = _cum_lengths(sp_pts), _cum_lengths(x_pts)
+    events = []
+    for i in range(len(sp_pts) - 1):
+        la = sp_cum[i + 1] - sp_cum[i]
+        if la <= 1e-12:
+            continue
+        for j in range(len(x_pts) - 1):
+            lx = x_cum[j + 1] - x_cum[j]
+            if lx <= 1e-12:
+                continue
+            for t, s in ref_seg_events(sp_pts[i], sp_pts[i + 1], x_pts[j], x_pts[j + 1]):
+                events.append((sp_cum[i] + t * la, x_cum[j] + s * lx))
+    if not events:
+        raise TopologyError("paths never meet")
+    events.sort()
+    clusters = []
+    for arc, xarc in events:
+        if clusters and arc - clusters[-1][0] <= _ARC_TOL:
+            clusters[-1][1].append(xarc)
+        else:
+            clusters.append((arc, [xarc]))
+    out = []
+    prev = -_ARC_TOL
+    for idx, (arc, xarcs) in enumerate(clusters):
+        xarcs.sort()
+        if idx == len(clusters) - 1:
+            chosen = xarcs[-1]
+            if chosen < prev - _ARC_TOL:
+                raise TopologyError("final coincidence point out of order")
+        else:
+            cands = [v for v in xarcs if v >= prev - _ARC_TOL]
+            if not cands:
+                raise TopologyError("coincidence points out of order")
+            chosen = cands[0]
+        out.append((arc, max(chosen, prev)))
+        prev = max(chosen, prev)
+    if out[0][0] > _ARC_TOL or out[0][1] > _ARC_TOL:
+        raise TopologyError("paths do not coincide at the source")
+    if sp_cum[-1] - out[-1][0] > _ARC_TOL or x_cum[-1] - out[-1][1] > _ARC_TOL:
+        raise TopologyError("paths do not coincide at the target")
+    return out
+
+
+def reference_decomposition(sp, x):
+    """(points, [(kind, pivot, cut_edges, shared, sp_points, x_points)]) by pairwise geometry."""
+    sp_pts = tuple(sp)
+    x_pts = tuple(corner_position(c) for c in x.corners)
+    sp_cum, x_cum = _cum_lengths(sp_pts), _cum_lengths(x_pts)
+    arcs = ref_coincidence_arcs(sp_pts, x_pts)
+    pockets = []
+    for (lo_sp, lo_x), (hi_sp, hi_x) in zip(arcs, arcs[1:]):
+        if hi_sp - lo_sp <= _ARC_TOL and hi_x - lo_x <= _ARC_TOL:
+            continue
+        sp_sub = _slice_polyline(sp_pts, sp_cum, lo_sp, hi_sp)
+        x_sub = _slice_polyline(x_pts, x_cum, lo_x, hi_x)
+        if ref_shared_gap(sp_sub, x_sub):
+            pockets.append((1, *_shared_pivot(sp_sub), True, sp_sub, x_sub))
+        else:
+            pockets.append((*ref_classify(sp_sub, x_sub), False, sp_sub, x_sub))
+    return tuple(_point_at(sp_pts, sp_cum, arc) for arc, _ in arcs), pockets
+
+
+def assert_matches_reference(sp, x, tess):
+    try:
+        d = coincidence_decomposition(sp, x, tess)
+    except TopologyError:
+        with pytest.raises(TopologyError):
+            reference_decomposition(sp, x)
+        return
+    points, pockets = reference_decomposition(sp, x)
+    got = [(g.kind, g.pivot, g.cut_edges, g.shared) for g in d.polygons]
+    assert got == [p[:4] for p in pockets]
+    assert len(d.points) == len(points)
+    for got, want in zip(d.points, points):
+        assert math.dist(got, want) <= 1e-12
+    for g, p in zip(d.polygons, pockets):
+        assert len(g.sp_points) == len(p[4]) and len(g.x_points) == len(p[5])
+        for got, want in zip(g.sp_points + g.x_points, p[4] + p[5]):
+            assert math.dist(got, want) <= 1e-12
+
+
+class TestReferenceDecomposition:
+    """The walk-read decomposition finds the pockets pairwise geometry finds,
+    against SP's crossing path and against any other corner walk, such as
+    the grid path."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([(3, 4), (4, 5), (6, 6), (5, 7)]),
+        st.integers(min_value=0, max_value=10**6),
+        st.booleans(),
+    )
+    def test_random_and_maze_windows(self, shape, seed, maze):
+        try:
+            make = gen_two_weight_maze if maze else gen_random
+            inst = make(*shape, seed=seed)
+        except GenerationError:
+            assume(False)
+        tess, w = inst.tessellation, inst.weights
+        sp = refine_until(tess, w, inst.source, inst.target).path
+        assert_matches_reference(sp, crossing_path(sp, w, tess), tess)
+        sgp = shortest_grid_path(tess, w, inst.source, inst.target)
+        assert_matches_reference(sp, CrossingPath(sgp.path, ()), tess)
+
+    def test_hand_built_pockets(self, pockets, decomposition):
+        tess, _, _, _, x, d = pockets
+        assert_matches_reference(d.sp_points, x, tess)
+        tess, _, _, x, d = decomposition
+        assert_matches_reference(d.sp_points, x, tess)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_strips(self, k):
+        tess, w, s, t = strip(k)
+        sp = refine_until(tess, w, s, t).path
+        assert_matches_reference(sp, crossing_path(sp, w, tess), tess)
+
+    def test_identical_paths(self):
+        tess = Tessellation(1, 4)
+        w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
+        sp = [corner_position(c) for c in ((0, 0), (2, 0), (3, 1))]
+        assert_matches_reference(sp, crossing_path(sp, w, tess), tess)
+
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            # as long as SP, along other edges: not shared
+            ((0, 0), (1, 1), (3, 1)),
+            # along SP's first edge, but only after a loop back to the start
+            ((0, 0), (1, 1), (0, 0), (2, 0), (3, 1)),
+        ],
+    )
+    def test_corner_walks_off_sp(self, walk):
+        sp = [corner_position(c) for c in ((0, 0), (2, 0), (3, 1))]
+        x = CrossingPath(walk, ())
+        d = coincidence_decomposition(sp, x, Tessellation(1, 4))
+        assert not d.polygons[0].shared
+        assert_matches_reference(sp, x, Tessellation(1, 4))
 
 
 class TestConstants:

@@ -3,11 +3,13 @@ import math
 import os
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from trigrid.cli import CSV_HEADER, main
-from trigrid.instances import gen_strip, save_instance, serialize_instance
-from trigrid.tessellation import SQRT3
+from trigrid.instances import Instance, gen_strip, save_instance, serialize_instance
+from trigrid.metric import WeightMap
+from trigrid.tessellation import SQRT3, Tessellation
 
 
 @pytest.fixture()
@@ -68,6 +70,15 @@ class TestSolve:
         for level in ("64", "11"):
             assert main(["solve", strip5, "--method", "sp", flag, level]) == 1
             assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["svp", "sp"])
+    def test_window_over_hop_table_budget_exits_1(self, tmp_path, method, capsys):
+        # level 1 fits the Steiner node budget on 200x200, so the hop table refuses
+        path = tmp_path / "big.trigrid"
+        ones = WeightMap(np.ones((200, 200)))
+        save_instance(path, Instance(Tessellation(200, 200), ones, (0, 0), (2, 0), "big"))
+        assert main(["solve", str(path), "--method", method, "--steiner-level", "1"]) == 1
+        assert "hop table needs more than the budget" in capsys.readouterr().err
 
     def test_svg_side_output(self, strip5, tmp_path, capsys):
         out = tmp_path / "strip.svg"

@@ -1,4 +1,5 @@
 import math
+import time
 from collections import OrderedDict
 
 import numpy as np
@@ -173,6 +174,29 @@ def test_hop_table_keeps_28_bytes_per_piece():
     assert len(table.pair_idx) == len(table.cells_a) == len(table.cells_b) == pieces
     arrays = (table.lengths, table.pair_idx, table.cells_a, table.cells_b)
     assert sum(a.nbytes for a in arrays) == 28 * pieces
+
+
+def test_hop_table_budget_refuses_big_windows_before_building():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget"):
+        CornerHopTable(Tessellation(200, 200))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="budget"):
+        corner_hop_table(Tessellation(48, 48))
+    assert (48, 48) not in metric._HOP_TABLES
+    metric._check_table_budget(Tessellation(24, 24))
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(1, 1), (1, 7), (2, 1), (3, 4), (4, 3), (5, 2), (9, 6), (12, 12)]
+)
+def test_hop_table_budget_counts_every_piece(rows, cols, monkeypatch):
+    pieces = len(CornerHopTable(Tessellation(rows, cols)).lengths)
+    monkeypatch.setattr(metric, "MAX_HOP_PIECES", pieces)
+    CornerHopTable(Tessellation(rows, cols))
+    monkeypatch.setattr(metric, "MAX_HOP_PIECES", pieces - 1)
+    with pytest.raises(ValueError, match="budget"):
+        CornerHopTable(Tessellation(rows, cols))
 
 
 def test_hop_table_scale_invariance():
