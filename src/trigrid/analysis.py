@@ -7,9 +7,10 @@ per-pocket and whole-path ratio bounds. It also houses the closed-form
 ratio constants and a randomized search for configurations whose corner
 path is poor but whose shortcut repair is near-optimal.
 
-The corner path runs on lattice edges, and SP meets the lattice only at
-the ends of its segment_walk pieces, so every contact is read off those
-ends with locate_point; nothing is intersected in the plane.
+SP is walked once per report, by walk_polyline, and every layer reads
+that walk: the crossing path merges its pieces into cell visits, the
+decomposition reads every contact off their ends with locate_point, and
+each pocket's SP side is priced from its own pieces.
 """
 
 import logging
@@ -20,7 +21,7 @@ from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .grid_paths import shortest_grid_path, shortest_vertex_path
-from .metric import WeightMap, edge_weight, grid_edge_cost, polyline_cost, segment_cost
+from .metric import WeightMap, edge_weight, grid_edge_cost, segment_cost, walk_cost
 from .oracle import DEFAULT_MAX_LEVEL, DEFAULT_REL_TOL, approx_shortest_path, refine_until
 from .tessellation import (
     CORNER_STEPS_CCW,
@@ -98,7 +99,8 @@ class GapPolygon(NamedTuple):
 
     kind counts the pivot-incident edges the inner sub-polyline touches;
     shared pockets are the degenerate kind-1 case where both paths run
-    together and cut_edges holds only the edge they share.
+    together and cut_edges holds only the edge they share. pieces are
+    SP's walk pieces inside the pocket.
     """
 
     kind: int
@@ -107,13 +109,22 @@ class GapPolygon(NamedTuple):
     x_points: Tuple[Point, ...]
     cut_edges: Tuple[Edge, ...]
     shared: bool
+    pieces: Tuple[WalkRecord, ...]
+
+
+class PolylineWalk(NamedTuple):
+    """A polyline's segment_walk pieces, unmerged, each as (arclength at
+    its entry, arclength at its exit, record); cum is the arclength at
+    each vertex."""
+
+    points: Tuple[Point, ...]
+    cum: Tuple[float, ...]
+    pieces: Tuple[Tuple[float, float, WalkRecord], ...]
 
 
 class CoincidenceDecomposition(NamedTuple):
-    points: Tuple[Point, ...]
     polygons: Tuple[GapPolygon, ...]
-    sp_points: Tuple[Point, ...]
-    x: CrossingPath
+    sp: PolylineWalk
 
 
 class PolygonRatio(NamedTuple):
@@ -197,6 +208,18 @@ def _cum_lengths(pts: Sequence[Point]) -> List[float]:
     return cum
 
 
+def walk_polyline(points: Sequence[Point]) -> PolylineWalk:
+    """Walk each segment of a polyline once, for every analysis layer to read."""
+    pts = tuple(points)
+    cum = tuple(_cum_lengths(pts))
+    pieces = tuple(
+        (cum[k] + math.dist(a, rec.entry), cum[k] + math.dist(a, rec.exit), rec)
+        for k, a in enumerate(pts[:-1])
+        for rec in segment_walk(a, pts[k + 1])
+    )
+    return PolylineWalk(pts, cum, pieces)
+
+
 def _point_at(pts: Sequence[Point], cum: Sequence[float], arc: float) -> Point:
     if arc <= 0.0:
         return pts[0]
@@ -233,37 +256,34 @@ def _boundary_location(p: Point, tol: float):
 # -- crossing path ----------------------------------------------------------
 
 
-def _visit_sequence(
-    tess: Tessellation, weights: WeightMap, points: Sequence[Point]
-) -> List[WalkRecord]:
-    """Cell visits of a polyline: walk pieces with interior runs merged.
+def _visit_sequence(weights: WeightMap, walk: PolylineWalk) -> List[WalkRecord]:
+    """Cell visits of a polyline: its walk pieces with interior runs merged.
 
     Edge-collinear pieces are reassigned to the cheaper in-window side so
     each visit names the cell whose price the piece actually pays.
     """
     records: List[WalkRecord] = []
-    for k in range(len(points) - 1):
-        for rec in segment_walk(points[k], points[k + 1]):
-            if rec.kind == INTERIOR_CROSSING:
-                if (
-                    records
-                    and records[-1].kind == INTERIOR_CROSSING
-                    and records[-1].cell == rec.cell
-                ):
-                    records[-1] = records[-1]._replace(exit=rec.exit)
-                    continue
-            else:
-                if (
-                    records
-                    and records[-1].kind == EDGE_COLLINEAR
-                    and records[-1].edge == rec.edge
-                ):
-                    records[-1] = records[-1]._replace(exit=rec.exit)
-                    continue
-                sides = edge_cells(rec.edge)
-                costs = [(weights.effective(c), c) for c in sides]
-                rec = rec._replace(cell=min(costs)[1])
-            records.append(rec)
+    for _, _, rec in walk.pieces:
+        if rec.kind == INTERIOR_CROSSING:
+            if (
+                records
+                and records[-1].kind == INTERIOR_CROSSING
+                and records[-1].cell == rec.cell
+            ):
+                records[-1] = records[-1]._replace(exit=rec.exit)
+                continue
+        else:
+            if (
+                records
+                and records[-1].kind == EDGE_COLLINEAR
+                and records[-1].edge == rec.edge
+            ):
+                records[-1] = records[-1]._replace(exit=rec.exit)
+                continue
+            sides = edge_cells(rec.edge)
+            costs = [(weights.effective(c), c) for c in sides]
+            rec = rec._replace(cell=min(costs)[1])
+        records.append(rec)
     return records
 
 
@@ -312,8 +332,8 @@ def _visit_case(visit: WalkRecord) -> CrossingSegment:
     return CrossingSegment(cell, BETWEEN_EDGES, (shared.pop(),))
 
 
-def crossing_path(sp: Sequence[Point], weights: WeightMap, tess: Tessellation) -> CrossingPath:
-    """Corner walk shadowing a boundary-to-boundary polyline.
+def crossing_path(sp: PolylineWalk, weights: WeightMap) -> CrossingPath:
+    """Corner walk shadowing a boundary-to-boundary polyline, given its walk.
 
     Every cell visit contributes corners of that cell by a four-way case
     split on where the visit enters and leaves; concatenating the pieces
@@ -321,13 +341,13 @@ def crossing_path(sp: Sequence[Point], weights: WeightMap, tess: Tessellation) -
     its last. Polyline vertices must lie on cell boundaries and the ends
     must be corners.
     """
-    if not sp:
+    if not sp.points:
         raise MalformedPathError("empty polyline")
-    located = [_boundary_location(p, EPS_GEO) for p in sp]
+    located = [_boundary_location(p, EPS_GEO) for p in sp.points]
     (start_kind, start), (end_kind, end) = located[0], located[-1]
     if start_kind != "corner" or end_kind != "corner":
         raise MalformedPathError("polyline must start and end at corners")
-    visits = _visit_sequence(tess, weights, sp)
+    visits = _visit_sequence(weights, sp)
     segments = tuple(_visit_case(v) for v in visits)
     corners: List[Corner] = [start]
     for corner in [c for seg in segments for c in seg.corners] + [end]:
@@ -415,16 +435,6 @@ def _coincidence_arcs(
     return out
 
 
-def _shared_pivot(sp_sub: Sequence[Point]) -> Tuple[Corner, Tuple[Edge, ...]]:
-    a, b = sp_sub[0], sp_sub[1]
-    mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-    kind, where = _boundary_location(mid, _EPS_ON)
-    if kind == "corner":
-        return where, ()
-    edge = where[0]
-    return edge[0], (edge,)
-
-
 def _classify(
     sp_sub: Sequence[Point], x_sub: Sequence[Point]
 ) -> Tuple[int, Corner, Tuple[Edge, ...]]:
@@ -470,36 +480,25 @@ def _classify(
     raise TopologyError("pivot-incident edge contacts are not consecutive")
 
 
-def coincidence_decomposition(
-    sp: Sequence[Point], x: CrossingPath, tess: Tessellation
-) -> CoincidenceDecomposition:
-    """Full pocket decomposition of the region between the two paths.
+def coincidence_decomposition(sp: PolylineWalk, x: CrossingPath) -> CoincidenceDecomposition:
+    """Full pocket decomposition of the region between SP, given its walk, and X.
 
-    SP is walked once, unmerged, and every contact is read off the ends of
-    its pieces: where it meets X, and which edges a pocket touches. A pocket
-    is shared when its length matches X's and each of its pieces runs along
-    an edge of X in the pocket.
+    Every contact is read off the ends of SP's walk pieces: where it meets
+    X, and which edges a pocket touches. A pocket is shared when its length
+    matches X's and each of its pieces runs along an edge of X in the
+    pocket; its pivot and cut edge come from its first piece's edge.
     """
-    sp_pts = tuple(sp)
+    sp_pts, sp_cum, pieces = sp
     x_pts = tuple(corner_position(c) for c in x.corners)
-    sp_cum, x_cum = _cum_lengths(sp_pts), _cum_lengths(x_pts)
-    # (SP arc at entry, SP arc at exit, piece)
-    pieces = [
-        (sp_cum[k] + math.dist(a, rec.entry), sp_cum[k] + math.dist(a, rec.exit), rec)
-        for k, a in enumerate(sp_pts[:-1])
-        for rec in segment_walk(a, sp_pts[k + 1])
-    ]
+    x_cum = _cum_lengths(x_pts)
     x_edges = [edge_key(a, b) for a, b in zip(x.corners, x.corners[1:])]
     arcs = _coincidence_arcs(pieces, sp_cum[-1], x, x_edges, x_cum)
-    points = tuple(_point_at(sp_pts, sp_cum, arc) for arc, _ in arcs)
     polygons: List[GapPolygon] = []
     for k in range(len(arcs) - 1):
         (lo_sp, lo_x), (hi_sp, hi_x) = arcs[k], arcs[k + 1]
-        if hi_sp - lo_sp <= _ARC_TOL and hi_x - lo_x <= _ARC_TOL:
-            continue
         sp_sub = _slice_polyline(sp_pts, sp_cum, lo_sp, hi_sp)
         x_sub = _slice_polyline(x_pts, x_cum, lo_x, hi_x)
-        inside = [rec for lo, hi, rec in pieces if lo_sp <= lo and hi <= hi_sp]
+        inside = tuple(rec for lo, hi, rec in pieces if lo_sp <= lo and hi <= hi_sp)
         x_run = {
             e
             for j, e in enumerate(x_edges)
@@ -508,13 +507,13 @@ def coincidence_decomposition(
         if abs((hi_sp - lo_sp) - (hi_x - lo_x)) <= _EPS_ON and all(
             rec.kind == EDGE_COLLINEAR and rec.edge in x_run for rec in inside
         ):
-            pivot, cut = _shared_pivot(sp_sub)
-            polygons.append(GapPolygon(1, pivot, sp_sub, x_sub, cut, True))
+            edge = inside[0].edge
+            polygons.append(GapPolygon(1, edge[0], sp_sub, x_sub, (edge,), True, inside))
             continue
         contacts = (sp_sub[0], *(p for rec in inside for p in (rec.entry, rec.exit)), sp_sub[-1])
         kind, pivot, cut = _classify(contacts, x_sub)
-        polygons.append(GapPolygon(kind, pivot, sp_sub, x_sub, cut, False))
-    return CoincidenceDecomposition(points, tuple(polygons), sp_pts, x)
+        polygons.append(GapPolygon(kind, pivot, sp_sub, x_sub, cut, False, inside))
+    return CoincidenceDecomposition(tuple(polygons), sp)
 
 
 # -- shortcut paths -----------------------------------------------------------
@@ -540,17 +539,16 @@ def shortcut_paths(x: CrossingPath, tess: Tessellation) -> Tuple[Shortcut, ...]:
 
 
 def _equalize_core(
-    weights: WeightMap, sp: Sequence[Point], cell: Cell, tess: Tessellation
+    weights: WeightMap, visits: Sequence[WalkRecord], cell: Cell, tess: Tessellation
 ) -> Tuple[WeightMap, Cell, Cell]:
     """Freeze the path's corridor and reprice cell to its neighbour sum.
 
-    Cells the polyline never pays for become unreachable and the given
-    cell's weight is replaced by the sum of the weights of its predecessor
-    and successor along the polyline, which are returned with the new map.
+    visits are the path's cell visits under weights. Cells it never pays
+    for become unreachable, and cell's weight becomes the sum of the
+    weights of its predecessor and successor, returned with the new map.
     """
     if not tess.in_domain(cell):
         raise ValueError(f"cell outside the window: {cell!r}")
-    visits = _visit_sequence(tess, weights, sp)
     hits = [k for k, v in enumerate(visits) if v.cell == cell]
     if not hits:
         raise EqualizeError(f"cell {cell!r} is not traversed")
@@ -565,15 +563,14 @@ def _equalize_core(
     alpha, beta = weights.effective(prev_cell), weights.effective(next_cell)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise EqualizeError("neighbour weight is not finite")
-    # the cells the polyline pays for: interiors, and both sides of a run along an edge
+    # the cells the path pays for: interiors, and both sides of a run along an edge
     traversed = {
         c for v in visits for c in (edge_cells(v.edge) if v.kind == EDGE_COLLINEAR else (v.cell,))
     }
-    values = weights.values.copy()
-    for row in range(tess.rows):
-        for col in range(tess.cols):
-            if (row, col) not in traversed:
-                values[row, col] = math.inf
+    values = np.full_like(weights.values, math.inf)
+    for c in traversed:
+        if tess.in_domain(c):
+            values[c] = weights.values[c]
     values[cell] = alpha + beta
     return WeightMap(values), prev_cell, next_cell
 
@@ -610,27 +607,24 @@ def _p2_equalized(
     shortcut_cell = cells.pop()
     if not tess.in_domain(shortcut_cell):
         raise EqualizeError("shortcut cell outside the window")
-    for p in gap.sp_points:
-        kind, where = locate_point(p, _EPS_ON)
-        if kind == "corner":
-            inside = where in cell_vertices(shortcut_cell)
-        elif kind == "edges":
-            inside = any(e in cell_edges(shortcut_cell) for e in where)
-        else:
-            inside = where == shortcut_cell
-        if not inside:
-            raise EqualizeError("inner path leaves the shortcut cell")
-    equalized, prev_cell, next_cell = _equalize_core(weights, d.sp_points, shortcut_cell, tess)
+    edges = cell_edges(shortcut_cell)
+    if any(
+        rec.edge not in edges if rec.kind == EDGE_COLLINEAR else rec.cell != shortcut_cell
+        for rec in gap.pieces
+    ):
+        raise EqualizeError("inner path leaves the shortcut cell")
+    visits = _visit_sequence(weights, d.sp)
+    equalized, prev_cell, next_cell = _equalize_core(weights, visits, shortcut_cell, tess)
     across1 = next(c for c in edge_cells(e1) if c != shortcut_cell)
     across2 = next(c for c in edge_cells(e2) if c != shortcut_cell)
     if prev_cell != across1 or next_cell != across2:
         raise EqualizeError("traversal neighbours do not face the cut edges")
-    ratio = polyline_cost(equalized, gap.x_points) / polyline_cost(equalized, gap.sp_points)
+    ratio = _edge_run_cost(equalized, gap.x_points) / walk_cost(equalized, gap.pieces)
     return ratio, ratio <= RATIO_BOUND + RATIO_TOL
 
 
 def _edge_run_cost(weights: WeightMap, pts: Sequence[Point]) -> float:
-    """polyline_cost of a polyline whose every piece lies on one lattice edge."""
+    """Weighted length of a polyline whose every piece lies on one lattice edge."""
     total = 0.0
     for p, q in zip(pts, pts[1:]):
         length = math.dist(p, q)
@@ -652,7 +646,7 @@ def per_polygon_ratios(
     """
     out: List[PolygonRatio] = []
     for gap in d.polygons:
-        sp_cost = polyline_cost(weights, gap.sp_points)
+        sp_cost = walk_cost(weights, gap.pieces)
         x_cost = _edge_run_cost(weights, gap.x_points)
         if sp_cost <= 1e-12:
             if x_cost > 1e-9:
@@ -707,9 +701,10 @@ def ratio_report(
         return RatioReport(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, (0,) * 6, 0, True, (), oracle.path)
     sgp = shortest_grid_path(tess, weights, s, t)
     svp = shortest_vertex_path(tess, weights, s, t)
-    x = crossing_path(oracle.path, weights, tess)
+    sp = walk_polyline(oracle.path)
+    x = crossing_path(sp, weights)
     x_cost = grid_path_cost(weights, x.corners)
-    decomposition = coincidence_decomposition(oracle.path, x, tess)
+    decomposition = coincidence_decomposition(sp, x)
     polygons = per_polygon_ratios(decomposition, weights, tess)
     histogram = [0] * 6
     for poly in polygons:
@@ -779,7 +774,7 @@ def search_p2_anomaly(seed: int, trials: int) -> AnomalyResult:
         sample = (wa, wm, wb)
         weights = build(sample)
         probe = approx_shortest_path(tess, weights, s, t, level=3)
-        x = crossing_path(probe.path, weights, tess)
+        x = crossing_path(walk_polyline(probe.path), weights)
         raw = grid_path_cost(weights, x.corners) / probe.cost
         if raw > best_raw:
             best_raw, best_sample = raw, sample
@@ -788,7 +783,7 @@ def search_p2_anomaly(seed: int, trials: int) -> AnomalyResult:
     # dip only appears once the sample spacing is fine enough, so early
     # levels tie and its stopping rule fires; solve at full depth instead
     oracle = approx_shortest_path(tess, weights, s, t, level=DEFAULT_MAX_LEVEL)
-    x = crossing_path(oracle.path, weights, tess)
+    x = crossing_path(walk_polyline(oracle.path), weights)
     x_cost = grid_path_cost(weights, x.corners)
     shortcut_cost = min(
         (grid_path_cost(weights, sc.corners) for sc in shortcut_paths(x, tess)),

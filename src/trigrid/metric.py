@@ -9,7 +9,7 @@ cells. Cells outside the window count as infinitely heavy.
 
 import math
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .tessellation import (
     Edge,
     Point,
     Tessellation,
+    WalkRecord,
     are_adjacent,
     corner_position,
     edge_cells,
@@ -80,25 +81,27 @@ def grid_edge_cost(weights: WeightMap, a: Corner, b: Corner) -> float:
     return 2.0 * edge_weight(weights, edge_key(a, b))
 
 
-def segment_cost(weights: WeightMap, p: Point, q: Point) -> float:
-    """Weighted length of the straight segment from p to q.
+def walk_cost(weights: WeightMap, pieces: Iterable[WalkRecord]) -> float:
+    """Weighted length of walk pieces, summed with math.fsum.
 
-    The walk never emits zero-length pieces, so infinite weights cannot
-    meet zero lengths and the result is always well defined.
+    A piece across a cell pays the cell's weight, one along an edge the
+    edge's min-rule weight. Walks emit no zero-length pieces, so an
+    infinite weight never meets a zero length.
     """
-    total = 0.0
-    for rec in segment_walk(p, q):
-        length = math.dist(rec.entry, rec.exit)
-        if rec.kind == EDGE_COLLINEAR:
-            w = edge_weight(weights, rec.edge)
-        else:
-            w = weights.effective(rec.cell)
-        total += w * length
-    return total
+    return math.fsum(
+        (
+            edge_weight(weights, rec.edge)
+            if rec.kind == EDGE_COLLINEAR
+            else weights.effective(rec.cell)
+        )
+        * math.dist(rec.entry, rec.exit)
+        for rec in pieces
+    )
 
 
-def polyline_cost(weights: WeightMap, points: Sequence[Point]) -> float:
-    return sum(segment_cost(weights, p, q) for p, q in zip(points, points[1:]))
+def segment_cost(weights: WeightMap, p: Point, q: Point) -> float:
+    """Weighted length of the straight segment from p to q."""
+    return walk_cost(weights, segment_walk(p, q))
 
 
 class _Walk(NamedTuple):

@@ -20,6 +20,7 @@ from trigrid.analysis import (
     search_p2_anomaly,
     svp_lower_bound_constant,
     svp_lower_bound_witness_offset,
+    walk_polyline,
 )
 from trigrid.grid_paths import shortest_grid_path, shortest_vertex_path
 from trigrid.instances import GenerationError, gen_random, gen_strip, gen_two_weight_maze
@@ -119,7 +120,7 @@ def test_criterion_3_solver_ordering(sweep):
 def test_criterion_4_crossing_path_machinery(sweep):
     instances, reports, _ = sweep
     for inst, rep in zip(instances, reports):
-        x = crossing_path(rep.sp_path, inst.weights, inst.tessellation)
+        x = crossing_path(walk_polyline(rep.sp_path), inst.weights)
         assert x.corners[0] == inst.source
         assert x.corners[-1] == inst.target
         for a, b in zip(x.corners, x.corners[1:]):

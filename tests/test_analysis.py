@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from trigrid import analysis, metric
 from trigrid.grid_paths import UnreachableError, shortest_grid_path
 from trigrid.instances import GenerationError, gen_random, gen_two_weight_maze
-from trigrid.metric import WeightMap, polyline_cost
+from trigrid.metric import WeightMap, segment_cost, walk_cost
 from trigrid.oracle import approx_shortest_path, refine_until
 from trigrid.analysis import (
     _ARC_TOL,
     _EPS_ON,
     RATIO_BOUND,
+    RATIO_TOL,
     CoincidenceDecomposition,
     CrossingPath,
     DegeneratePolygonError,
@@ -23,10 +25,11 @@ from trigrid.analysis import (
     _boundary_location,
     _classify,
     _cum_lengths,
+    _edge_run_cost,
     _equalize_core,
     _point_at,
-    _shared_pivot,
     _slice_polyline,
+    _visit_sequence,
     coincidence_decomposition,
     crossing_path,
     grid_path_cost,
@@ -37,6 +40,7 @@ from trigrid.analysis import (
     shortcut_paths,
     svp_lower_bound_constant,
     svp_lower_bound_witness_offset,
+    walk_polyline,
 )
 from trigrid.tessellation import (
     CORNER_STEPS_CCW,
@@ -45,8 +49,10 @@ from trigrid.tessellation import (
     Tessellation,
     adjacent_corners,
     corner_position,
+    edge_cells,
     edge_key,
     locate_point,
+    segment_walk,
 )
 
 INF = math.inf
@@ -70,6 +76,16 @@ def random_instance(seed, rows=3, cols=4, inf_prob=0.1):
     values = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=(rows, cols)))
     values[rng.random((rows, cols)) < inf_prob] = INF
     return Tessellation(rows, cols), WeightMap(values)
+
+
+def visits(w, sp):
+    """The cell visits of polyline sp under w."""
+    return _visit_sequence(w, walk_polyline(sp))
+
+
+def contact_points(d):
+    """Where SP meets X: the ends of the pockets' inner paths."""
+    return [g.sp_points[0] for g in d.polygons] + [d.polygons[-1].sp_points[-1]]
 
 
 def far_endpoints(tess):
@@ -103,7 +119,7 @@ class TestCrossingPath:
     def test_strip_zigzag(self):
         tess, w, s, t = strip(2)
         oracle = refine_until(tess, w, s, t)
-        x = crossing_path(oracle.path, w, tess)
+        x = crossing_path(walk_polyline(oracle.path), w)
         assert x.corners == ((2, 0), (3, 1), (2, 2), (3, 3), (2, 4))
         assert grid_path_cost(w, x.corners) == pytest.approx(8.0, abs=1e-12)
         assert [seg.case for seg in x.segments] == [
@@ -118,7 +134,7 @@ class TestCrossingPath:
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         walk = ((0, 0), (2, 0), (3, 1))
         sp = [corner_position(c) for c in walk]
-        x = crossing_path(sp, w, tess)
+        x = crossing_path(walk_polyline(sp), w)
         assert x.corners == walk
         assert all(seg.case == "same-edge" for seg in x.segments)
 
@@ -126,41 +142,43 @@ class TestCrossingPath:
         tess, w, s, t = corridor_weights(2.0, 1.5, 3.0)
         y = 2.0 * SQRT3
         sp = [(0.0, y), (0.5, y), (1.3, y), (2.0, y), (3.1, y), (4.0, y)]
-        x = crossing_path(sp, w, tess)
+        x = crossing_path(walk_polyline(sp), w)
         assert x.corners == ((0, 2), (2, 2), (4, 2))
 
     def test_rejects_vertex_inside_a_cell(self):
         tess = Tessellation(1, 4)
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         with pytest.raises(MalformedPathError):
-            crossing_path([(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)], w, tess)
+            crossing_path(walk_polyline([(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)]), w)
 
     def test_rejects_endpoint_off_corner(self):
         tess = Tessellation(1, 4)
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         with pytest.raises(MalformedPathError):
-            crossing_path([(1.0, 0.0), (2.0, 0.0)], w, tess)
+            crossing_path(walk_polyline([(1.0, 0.0), (2.0, 0.0)]), w)
 
 
 class TestCoincidence:
     def test_strip_meets_only_at_endpoints(self):
         tess, w, s, t = strip(1)
         oracle = refine_until(tess, w, s, t)
-        x = crossing_path(oracle.path, w, tess)
-        d = coincidence_decomposition(oracle.path, x, tess)
-        assert len(d.points) == 2
-        assert d.points[0] == pytest.approx((2.0, 0.0), abs=1e-9)
-        assert d.points[-1] == pytest.approx((2.0, 2.0 * SQRT3), abs=1e-9)
+        sp_walk = walk_polyline(oracle.path)
+        x = crossing_path(sp_walk, w)
+        d = coincidence_decomposition(sp_walk, x)
+        (gap,) = d.polygons
+        assert gap.sp_points[0] == pytest.approx((2.0, 0.0), abs=1e-9)
+        assert gap.sp_points[-1] == pytest.approx((2.0, 2.0 * SQRT3), abs=1e-9)
 
     def test_identical_paths_meet_at_every_vertex(self):
         tess = Tessellation(1, 4)
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         walk = ((0, 0), (2, 0), (3, 1))
         sp = [corner_position(c) for c in walk]
-        x = crossing_path(sp, w, tess)
-        d = coincidence_decomposition(sp, x, tess)
-        assert len(d.points) == 3
-        for point, corner in zip(d.points, walk):
+        sp_walk = walk_polyline(sp)
+        x = crossing_path(sp_walk, w)
+        d = coincidence_decomposition(sp_walk, x)
+        assert len(d.polygons) == 2
+        for point, corner in zip(contact_points(d), walk):
             assert point == pytest.approx(corner_position(corner), abs=1e-9)
         assert all(g.kind == 1 and g.shared for g in d.polygons)
         for r in per_polygon_ratios(d, w, tess):
@@ -169,10 +187,11 @@ class TestCoincidence:
     def test_strip_k2_meets_at_middle_corner(self):
         tess, w, s, t = strip(2)
         oracle = refine_until(tess, w, s, t)
-        x = crossing_path(oracle.path, w, tess)
-        d = coincidence_decomposition(oracle.path, x, tess)
-        assert len(d.points) == 3
-        assert d.points[1] == pytest.approx((2.0, 2.0 * SQRT3), abs=1e-9)
+        sp_walk = walk_polyline(oracle.path)
+        x = crossing_path(sp_walk, w)
+        d = coincidence_decomposition(sp_walk, x)
+        assert len(d.polygons) == 2
+        assert d.polygons[0].sp_points[-1] == pytest.approx((2.0, 2.0 * SQRT3), abs=1e-9)
         assert [g.kind for g in d.polygons] == [3, 3]
         assert [g.pivot for g in d.polygons] == [(3, 1), (3, 3)]
 
@@ -188,8 +207,9 @@ class TestClassifyPolygon:
     def test_strip_gap_is_kind_three(self):
         tess, w, s, t = strip(1)
         oracle = refine_until(tess, w, s, t)
-        x = crossing_path(oracle.path, w, tess)
-        d = coincidence_decomposition(oracle.path, x, tess)
+        sp_walk = walk_polyline(oracle.path)
+        x = crossing_path(sp_walk, w)
+        d = coincidence_decomposition(sp_walk, x)
         (gap,) = d.polygons
         assert (gap.kind, gap.pivot, gap.shared) == (3, (3, 1), False)
 
@@ -199,8 +219,9 @@ def decomposition():
     tess = Tessellation(1, 4)
     w = WeightMap([[4.0, 1.0, 4.0, 4.0]])
     res = approx_shortest_path(tess, w, (0, 0), (4, 0), level=3)
-    x = crossing_path(res.path, w, tess)
-    return tess, w, res, x, coincidence_decomposition(res.path, x, tess)
+    sp_walk = walk_polyline(res.path)
+    x = crossing_path(sp_walk, w)
+    return tess, w, res, x, coincidence_decomposition(sp_walk, x)
 
 
 class TestRefractionPockets:
@@ -252,8 +273,9 @@ def pockets():
         corner_position((3, 1)),
         (4.0, 0.0),
     )
-    x = crossing_path(sp, w, tess)
-    d = coincidence_decomposition(sp, x, tess)
+    sp_walk = walk_polyline(sp)
+    x = crossing_path(sp_walk, w)
+    d = coincidence_decomposition(sp_walk, x)
     return tess, w, s1, s2, x, d
 
 
@@ -286,11 +308,32 @@ class TestCornerCutPocket:
         assert cut.equalized_ok
         assert cut.ratio == pytest.approx(expected, abs=1e-9)
 
+    def test_equalized_ratio_reprices_both_sides(self, pockets):
+        # the middle cell, cheaper than its left neighbour, sets the price of
+        # the left cut edge; equalized to 4 + 1, it no longer does
+        tess, _, s1, s2, _, d = pockets
+        cut = per_polygon_ratios(d, WeightMap([[4.0, 2.0, 1.0]]), tess)[1]
+        a, b = 2.0 * s1, 2.0 * s2
+        c = law_of_cosines_dist(a, b)
+        assert cut.ratio == pytest.approx((a * 2.0 + b) / (c * 2.0), abs=1e-9)
+        assert cut.equalized_ratio == pytest.approx((a * 4.0 + b) / (c * 5.0), abs=1e-9)
+
     def test_corner_start_pocket_reports_reason(self, pockets):
         tess, w, _, _, _, d = pockets
         first = per_polygon_ratios(d, w, tess)[0]
         assert first.equalized_ratio is None
         assert first.note != ""
+
+    def test_inner_path_leaving_the_cell_is_not_equalized(self, pockets):
+        # the corner-cutting pocket, with its inner path bent out over the
+        # edge opposite the pivot and back
+        tess, w, _, _, _, d = pockets
+        cut = d.polygons[1]
+        u0, u1 = cut.sp_points[0], cut.sp_points[-1]
+        sp = walk_polyline((u0, (1.5, SQRT3), (2.0, 2.0 * SQRT3), (2.5, SQRT3), u1))
+        gap = cut._replace(sp_points=sp.points, pieces=tuple(rec for _, _, rec in sp.pieces))
+        (r,) = per_polygon_ratios(d._replace(polygons=(gap,), sp=sp), w, tess)
+        assert r.note == "inner path leaves the shortcut cell"
 
     def test_shared_pockets_price_to_one(self, pockets):
         tess, w, _, _, _, d = pockets
@@ -303,7 +346,7 @@ class TestCornerCutPocket:
 def corridor():
     tess, w, s, t = corridor_weights(4.0, 2.0, 4.0)
     res = approx_shortest_path(tess, w, s, t, level=2)
-    x = crossing_path(res.path, w, tess)
+    x = crossing_path(walk_polyline(res.path), w)
     return tess, w, s, t, x
 
 
@@ -323,7 +366,7 @@ class TestComposeAndShortcuts:
     def test_strip_path_has_no_shortcut(self):
         tess, w, s, t = strip(2)
         oracle = refine_until(tess, w, s, t)
-        x = crossing_path(oracle.path, w, tess)
+        x = crossing_path(walk_polyline(oracle.path), w)
         assert shortcut_paths(x, tess) == ()
 
 
@@ -334,50 +377,50 @@ class TestEqualize:
 
     def test_reprices_to_neighbour_sum(self):
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
-        out = _equalize_core(w, self.seg, (0, 2), self.tess)[0]
+        out = _equalize_core(w, visits(w, self.seg), (0, 2), self.tess)[0]
         assert out.values[0].tolist() == [1.0, 1.0, 2.0, 1.0]
 
     def test_reprices_even_when_already_cheap(self):
         w = WeightMap([[1.0, 1.0, 1.0, 1.0]])
-        out = _equalize_core(w, self.seg, (0, 2), self.tess)[0]
+        out = _equalize_core(w, visits(w, self.seg), (0, 2), self.tess)[0]
         assert out.values[0].tolist() == [1.0, 1.0, 2.0, 1.0]
 
     def test_keeps_an_equalized_weight(self):
         w = WeightMap([[1.0, 1.0, 2.0, 1.0]])
-        out = _equalize_core(w, self.seg, (0, 2), self.tess)[0]
+        out = _equalize_core(w, visits(w, self.seg), (0, 2), self.tess)[0]
         assert out.values[0].tolist() == [1.0, 1.0, 2.0, 1.0]
 
     def test_blocks_cells_off_the_corridor(self):
         tess = Tessellation(2, 3)
         w = WeightMap([[1.0, 1.0, 3.0], [2.0, 2.0, 2.0]])
-        out = _equalize_core(w, self.seg, (0, 1), tess)[0]
+        out = _equalize_core(w, visits(w, self.seg), (0, 1), tess)[0]
         assert out.values[0].tolist() == [1.0, 4.0, 3.0]
         assert np.isinf(out.values[1]).all()
 
     def test_rejects_infinite_neighbour(self):
         w = WeightMap([[1.0, INF, 3.0, 1.0]])
         with pytest.raises(EqualizeError, match="finite"):
-            _equalize_core(w, self.seg, (0, 2), self.tess)
+            _equalize_core(w, visits(w, self.seg), (0, 2), self.tess)
 
     def test_rejects_endpoint_cells(self):
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         with pytest.raises(EqualizeError, match="predecessor"):
-            _equalize_core(w, self.seg, (0, 0), self.tess)
+            _equalize_core(w, visits(w, self.seg), (0, 0), self.tess)
         with pytest.raises(EqualizeError, match="successor"):
-            _equalize_core(w, self.seg, (0, 3), self.tess)
+            _equalize_core(w, visits(w, self.seg), (0, 3), self.tess)
 
     def test_rejects_untraversed_cell(self):
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         short = [(0.0, 0.0), (2.5, SQRT3 / 2.0)]
         with pytest.raises(EqualizeError, match="not traversed"):
-            _equalize_core(w, short, (0, 3), self.tess)
+            _equalize_core(w, visits(w, short), (0, 3), self.tess)
 
     def test_keeps_both_sides_of_a_run_along_an_edge(self):
         # a run along the edge between (0, 1) and (1, 1), then across (0, 3) and (0, 4)
         tess = Tessellation(2, 5)
         w = WeightMap([[1.0, 1.0, 1.0, 3.0, 1.0], [1.0, 5.0, 1.0, 1.0, 1.0]])
         sp = [(1.0, SQRT3), (3.0, SQRT3), (4.5, SQRT3 / 2.0), (6.0, 0.0)]
-        out, prev_cell, next_cell = _equalize_core(w, sp, (0, 3), tess)
+        out, prev_cell, next_cell = _equalize_core(w, visits(w, sp), (0, 3), tess)
         assert (prev_cell, next_cell) == ((0, 1), (0, 4))
         assert out.values.tolist() == [[INF, 1.0, INF, 2.0, 1.0], [INF, 5.0, INF, INF, INF]]
 
@@ -385,7 +428,7 @@ class TestEqualize:
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         back_and_forth = [(0.0, 0.0), (2.5, SQRT3 / 2.0), (0.5, SQRT3 / 2.0)]
         with pytest.raises(EqualizeError, match="more than once"):
-            _equalize_core(w, back_and_forth, (0, 0), self.tess)
+            _equalize_core(w, visits(w, back_and_forth), (0, 0), self.tess)
 
 
 class TestDegenerateAndMediant:
@@ -399,13 +442,9 @@ class TestDegenerateAndMediant:
             x_points=((2.0, 0.0), (3.0, SQRT3), (4.0, 0.0)),
             cut_edges=(),
             shared=False,
+            pieces=(),
         )
-        d = CoincidenceDecomposition(
-            points=((2.0, 0.0), (2.0, 0.0)),
-            polygons=(gap,),
-            sp_points=((2.0, 0.0), (2.0, 0.0)),
-            x=CrossingPath(((2, 0), (3, 1), (4, 0)), ()),
-        )
+        d = CoincidenceDecomposition(polygons=(gap,), sp=walk_polyline(((2.0, 0.0), (2.0, 0.0))))
         with pytest.raises(DegeneratePolygonError):
             per_polygon_ratios(d, w, tess)
 
@@ -445,6 +484,25 @@ class TestRatioReport:
         shared = [p for p in rep.polygons if p.kind == 1 and p.pivot == (3, 3)]
         assert len(shared) == 1
         assert rep.histogram == (1, 0, 2, 0, 0, 0)
+
+    def test_walks_sp_once(self, monkeypatch):
+        # every layer reads one walk of SP; the only other walks are the
+        # kind-2 rescue chords, and one of the two pockets here is equalized
+        tess, w = random_instance(4)
+        s, t = far_endpoints(tess)
+        ratio_report(tess, w, s, t)  # the hop table's walks are made on first use
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return segment_walk(p, q)
+
+        monkeypatch.setattr(analysis, "segment_walk", counting)
+        monkeypatch.setattr(metric, "segment_walk", counting)
+        rep = ratio_report(tess, w, s, t)
+        assert rep.histogram[1] == 2
+        assert any(p.equalized_ratio is not None for p in rep.polygons)
+        assert len(calls) == len(rep.sp_path) - 1 + rep.histogram[1]
 
     def test_uniform_weights_stay_within_the_bound(self):
         tess = Tessellation(4, 5)
@@ -488,8 +546,10 @@ class TestRatioReport:
 
 # -- reference decomposition ----------------------------------------------------
 # Pockets found by intersecting every pair of SP and X segments and by
-# measuring segment distances in the plane. The decomposition reads its
-# contacts off SP's walk alone and must find the same pockets.
+# measuring segment distances in the plane, and priced by walking each of
+# their sides again. The decomposition reads its contacts off SP's walk
+# alone and prices each pocket from its own pieces; it must find the same
+# pockets at the same prices.
 
 
 def ref_seg_point_dist(p, a, b):
@@ -559,6 +619,31 @@ def ref_point_polyline_dist(p, pts):
     if len(pts) == 1:
         return math.dist(p, pts[0])
     return min(ref_seg_point_dist(p, pts[k], pts[k + 1]) for k in range(len(pts) - 1))
+
+
+def ref_polyline_cost(w, pts):
+    return sum(segment_cost(w, p, q) for p, q in zip(pts, pts[1:]))
+
+
+def ref_pocket_ratio(w, kind, sp_sub, sp_cost, x_cost):
+    """(ratio, rescue ratio or None, bound_ok) of a pocket with these side costs."""
+    if sp_cost <= 1e-12:
+        return 1.0, None, True
+    ratio = x_cost / sp_cost
+    if kind != 2:
+        return ratio, None, ratio <= RATIO_BOUND + RATIO_TOL
+    rescue = segment_cost(w, sp_sub[0], sp_sub[-1]) / sp_cost
+    return ratio, rescue, min(ratio, rescue) <= RATIO_BOUND + RATIO_TOL
+
+
+def ref_shared_pivot(sp_sub):
+    a, b = sp_sub[0], sp_sub[1]
+    mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+    kind, where = _boundary_location(mid, _EPS_ON)
+    if kind == "corner":
+        return where, ()
+    edge = where[0]
+    return edge[0], (edge,)
 
 
 def ref_shared_gap(sp_sub, x_sub):
@@ -659,15 +744,16 @@ def reference_decomposition(sp, x):
         sp_sub = _slice_polyline(sp_pts, sp_cum, lo_sp, hi_sp)
         x_sub = _slice_polyline(x_pts, x_cum, lo_x, hi_x)
         if ref_shared_gap(sp_sub, x_sub):
-            pockets.append((1, *_shared_pivot(sp_sub), True, sp_sub, x_sub))
+            pockets.append((1, *ref_shared_pivot(sp_sub), True, sp_sub, x_sub))
         else:
             pockets.append((*ref_classify(sp_sub, x_sub), False, sp_sub, x_sub))
     return tuple(_point_at(sp_pts, sp_cum, arc) for arc, _ in arcs), pockets
 
 
-def assert_matches_reference(sp, x, tess):
+def assert_matches_reference(sp, x, w, tess):
+    walk = walk_polyline(sp)
     try:
-        d = coincidence_decomposition(sp, x, tess)
+        d = coincidence_decomposition(walk, x)
     except TopologyError:
         with pytest.raises(TopologyError):
             reference_decomposition(sp, x)
@@ -675,13 +761,30 @@ def assert_matches_reference(sp, x, tess):
     points, pockets = reference_decomposition(sp, x)
     got = [(g.kind, g.pivot, g.cut_edges, g.shared) for g in d.polygons]
     assert got == [p[:4] for p in pockets]
-    assert len(d.points) == len(points)
-    for got, want in zip(d.points, points):
+    assert len(contact_points(d)) == len(points)
+    for got, want in zip(contact_points(d), points):
         assert math.dist(got, want) <= 1e-12
     for g, p in zip(d.polygons, pockets):
         assert len(g.sp_points) == len(p[4]) and len(g.x_points) == len(p[5])
         for got, want in zip(g.sp_points + g.x_points, p[4] + p[5]):
             assert math.dist(got, want) <= 1e-12
+    # every walk piece lies in exactly one pocket, in walk order
+    assert [rec for g in d.polygons for rec in g.pieces] == [rec for _, _, rec in walk.pieces]
+    for g, r in zip(d.polygons, per_polygon_ratios(d, w, tess)):
+        sp_cost, x_cost = ref_polyline_cost(w, g.sp_points), ref_polyline_cost(w, g.x_points)
+        assert math.isclose(walk_cost(w, g.pieces), sp_cost, rel_tol=1e-12)
+        assert math.isclose(_edge_run_cost(w, g.x_points), x_cost, rel_tol=1e-12)
+        ratio, rescue, bound_ok = ref_pocket_ratio(w, g.kind, g.sp_points, sp_cost, x_cost)
+        assert math.isclose(r.ratio, ratio, rel_tol=1e-12)
+        assert (r.rescue_ratio is None) == (rescue is None)
+        if rescue is not None:
+            assert math.isclose(r.rescue_ratio, rescue, rel_tol=1e-12)
+        assert r.bound_ok == bound_ok
+        if r.equalized_ratio is not None:
+            (cell,) = set(edge_cells(g.cut_edges[0])) & set(edge_cells(g.cut_edges[1]))
+            eq = _equalize_core(w, _visit_sequence(w, walk), cell, tess)[0]
+            want = ref_polyline_cost(eq, g.x_points) / ref_polyline_cost(eq, g.sp_points)
+            assert math.isclose(r.equalized_ratio, want, rel_tol=1e-12)
 
 
 class TestReferenceDecomposition:
@@ -703,27 +806,27 @@ class TestReferenceDecomposition:
             assume(False)
         tess, w = inst.tessellation, inst.weights
         sp = refine_until(tess, w, inst.source, inst.target).path
-        assert_matches_reference(sp, crossing_path(sp, w, tess), tess)
+        assert_matches_reference(sp, crossing_path(walk_polyline(sp), w), w, tess)
         sgp = shortest_grid_path(tess, w, inst.source, inst.target)
-        assert_matches_reference(sp, CrossingPath(sgp.path, ()), tess)
+        assert_matches_reference(sp, CrossingPath(sgp.path, ()), w, tess)
 
     def test_hand_built_pockets(self, pockets, decomposition):
-        tess, _, _, _, x, d = pockets
-        assert_matches_reference(d.sp_points, x, tess)
-        tess, _, _, x, d = decomposition
-        assert_matches_reference(d.sp_points, x, tess)
+        tess, w, _, _, x, d = pockets
+        assert_matches_reference(d.sp.points, x, w, tess)
+        tess, w, _, x, d = decomposition
+        assert_matches_reference(d.sp.points, x, w, tess)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_strips(self, k):
         tess, w, s, t = strip(k)
         sp = refine_until(tess, w, s, t).path
-        assert_matches_reference(sp, crossing_path(sp, w, tess), tess)
+        assert_matches_reference(sp, crossing_path(walk_polyline(sp), w), w, tess)
 
     def test_identical_paths(self):
         tess = Tessellation(1, 4)
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         sp = [corner_position(c) for c in ((0, 0), (2, 0), (3, 1))]
-        assert_matches_reference(sp, crossing_path(sp, w, tess), tess)
+        assert_matches_reference(sp, crossing_path(walk_polyline(sp), w), w, tess)
 
     @pytest.mark.parametrize(
         "walk",
@@ -737,9 +840,9 @@ class TestReferenceDecomposition:
     def test_corner_walks_off_sp(self, walk):
         sp = [corner_position(c) for c in ((0, 0), (2, 0), (3, 1))]
         x = CrossingPath(walk, ())
-        d = coincidence_decomposition(sp, x, Tessellation(1, 4))
+        d = coincidence_decomposition(walk_polyline(sp), x)
         assert not d.polygons[0].shared
-        assert_matches_reference(sp, x, Tessellation(1, 4))
+        assert_matches_reference(sp, x, WeightMap([[1.0, 1.0, 3.0, 1.0]]), Tessellation(1, 4))
 
 
 class TestConstants:

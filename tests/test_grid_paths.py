@@ -16,7 +16,7 @@ from trigrid.grid_paths import (
     shortest_vertex_path,
 )
 from trigrid.instances import gen_strip, gen_two_weight_maze
-from trigrid.metric import WeightMap, grid_edge_cost, polyline_cost
+from trigrid.metric import WeightMap, grid_edge_cost, segment_cost
 from trigrid.oracle import approx_shortest_path, refine_until
 from trigrid.tessellation import (
     SQRT3,
@@ -27,6 +27,11 @@ from trigrid.tessellation import (
 )
 
 INF = math.inf
+
+
+def path_cost(w, pts):
+    """Weighted length of a polyline, one segment_cost per segment."""
+    return sum(segment_cost(w, p, q) for p, q in zip(pts, pts[1:]))
 
 
 def strip_instance(k=1):
@@ -64,7 +69,7 @@ def test_vertex_path_on_strip():
     res = shortest_vertex_path(tess, w, s, t)
     assert res.cost == pytest.approx(4 * SQRT3, abs=1e-9)
     pts = [corner_position(c) for c in res.path]
-    assert polyline_cost(w, pts) == pytest.approx(res.cost, abs=1e-9)
+    assert path_cost(w, pts) == pytest.approx(res.cost, abs=1e-9)
 
 
 def test_trivial_and_invalid_endpoints():
@@ -148,7 +153,7 @@ def test_vertex_path_never_beats_grid_path(seed):
     assert vertex.cost <= grid.cost + 1e-9
     # both report costs consistent with their own path
     pts = [corner_position(c) for c in vertex.path]
-    assert polyline_cost(w, pts) == pytest.approx(vertex.cost, rel=1e-9, abs=1e-9)
+    assert path_cost(w, pts) == pytest.approx(vertex.cost, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=20, deadline=None)

@@ -14,7 +14,6 @@ from trigrid.metric import (
     corner_hop_table,
     edge_weight,
     grid_edge_cost,
-    polyline_cost,
     segment_cost,
 )
 from trigrid.tessellation import SQRT3, Tessellation, corner_position, segment_walk
@@ -96,14 +95,6 @@ def test_segment_cost_through_infinite_cell():
     assert segment_cost(w, (1.0, 0.5), (4.0, 0.5)) == INF
     # zero length segment costs nothing even in infinite territory
     assert segment_cost(w, (3.0, 0.5), (3.0, 0.5)) == 0.0
-
-
-def test_polyline_cost_additive():
-    w = weight_map_3x4(2.0)
-    pts = [(0.0, 0.0), (2.0, 0.0), (1.0, SQRT3)]
-    assert polyline_cost(w, pts) == pytest.approx(
-        segment_cost(w, pts[0], pts[1]) + segment_cost(w, pts[1], pts[2])
-    )
 
 
 def test_hop_table_matches_direct_costs():

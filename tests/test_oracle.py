@@ -13,7 +13,7 @@ from trigrid.grid_paths import (
 )
 from trigrid import oracle
 from trigrid.instances import gen_strip, gen_two_weight_maze
-from trigrid.metric import WeightMap, corner_hop_table, edge_weight, polyline_cost
+from trigrid.metric import WeightMap, corner_hop_table, edge_weight, segment_cost
 from trigrid.oracle import (
     OracleResult,
     _steiner_support,
@@ -30,6 +30,11 @@ from trigrid.tessellation import (
 )
 
 INF = math.inf
+
+
+def path_cost(w, pts):
+    """Weighted length of a polyline, one segment_cost per segment."""
+    return sum(segment_cost(w, p, q) for p, q in zip(pts, pts[1:]))
 
 
 def random_instance(seed, rows=3, cols=4, inf_prob=0.1):
@@ -85,7 +90,7 @@ def test_reported_cost_matches_reported_path(seed):
         return
     assert res.path[0] == corner_position(s)
     assert res.path[-1] == corner_position(t)
-    assert polyline_cost(w, res.path) == pytest.approx(res.cost, rel=1e-9, abs=1e-9)
+    assert path_cost(w, res.path) == pytest.approx(res.cost, rel=1e-9, abs=1e-9)
 
 
 def test_uniform_weights_are_exact_at_every_level():
@@ -453,4 +458,4 @@ def test_reported_paths_run_along_each_edge_in_one_hop(case):
     for res in results:
         path = res.path
         assert not any(on_one_edge(*trio) for trio in zip(path, path[1:], path[2:]))
-        assert polyline_cost(w, path) == pytest.approx(res.cost, rel=1e-12, abs=0)
+        assert path_cost(w, path) == pytest.approx(res.cost, rel=1e-12, abs=0)
