@@ -9,14 +9,16 @@ path is poor but whose shortcut repair is near-optimal.
 
 SP is walked once per report, by walk_polyline, and every layer reads
 that walk: the crossing path merges its pieces into cell visits, the
-decomposition reads every contact off their ends with locate_point, and
-each pocket's SP side is priced from its own pieces.
+decomposition reads every contact off their ends, and each pocket's SP
+side is priced from its own pieces. The walk also locates each of SP's
+vertices and piece ends once, with locate_point at EPS_GEO, and every
+layer reads that answer instead of locating the point again.
 """
 
 import logging
 import math
 import random
-from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -57,8 +59,6 @@ ENDPOINT_PIVOT = "endpoint-pivot"
 TO_CORNER = "to-corner"
 BETWEEN_EDGES = "between-edges"
 
-# tolerance for points derived from intersections, looser than EPS_GEO
-_EPS_ON = 1e-6
 # two coincidence events closer than this along a path are the same point
 _ARC_TOL = 1e-7
 
@@ -115,11 +115,13 @@ class GapPolygon(NamedTuple):
 class PolylineWalk(NamedTuple):
     """A polyline's segment_walk pieces, unmerged, each as (arclength at
     its entry, arclength at its exit, record); cum is the arclength at
-    each vertex."""
+    each vertex, and located maps each vertex and piece end to
+    locate_point's answer at EPS_GEO."""
 
     points: Tuple[Point, ...]
     cum: Tuple[float, ...]
     pieces: Tuple[Tuple[float, float, WalkRecord], ...]
+    located: Dict[Point, tuple]
 
 
 class CoincidenceDecomposition(NamedTuple):
@@ -209,7 +211,8 @@ def _cum_lengths(pts: Sequence[Point]) -> List[float]:
 
 
 def walk_polyline(points: Sequence[Point]) -> PolylineWalk:
-    """Walk each segment of a polyline once, for every analysis layer to read."""
+    """Walk each segment of a polyline once, and locate each distinct
+    vertex and piece end once, for every analysis layer to read."""
     pts = tuple(points)
     cum = tuple(_cum_lengths(pts))
     pieces = tuple(
@@ -217,7 +220,9 @@ def walk_polyline(points: Sequence[Point]) -> PolylineWalk:
         for k, a in enumerate(pts[:-1])
         for rec in segment_walk(a, pts[k + 1])
     )
-    return PolylineWalk(pts, cum, pieces)
+    ends = (q for _, _, rec in pieces for q in (rec.entry, rec.exit))
+    located = {p: locate_point(p, EPS_GEO) for p in dict.fromkeys((*pts, *ends))}
+    return PolylineWalk(pts, cum, pieces, located)
 
 
 def _point_at(pts: Sequence[Point], cum: Sequence[float], arc: float) -> Point:
@@ -243,14 +248,6 @@ def _slice_polyline(
             out.append(pts[k])
     out.append(_point_at(pts, cum, hi))
     return tuple(out)
-
-
-def _boundary_location(p: Point, tol: float):
-    """locate_point's answer for a point that must lie on a corner or an edge."""
-    kind, where = locate_point(p, tol)
-    if kind == "cell":
-        raise MalformedPathError(f"point {p!r} is not on the lattice boundary")
-    return kind, where
 
 
 # -- crossing path ----------------------------------------------------------
@@ -287,9 +284,10 @@ def _visit_sequence(weights: WeightMap, walk: PolylineWalk) -> List[WalkRecord]:
     return records
 
 
-def _on_cell(p: Point, cell: Cell) -> Tuple[Optional[Corner], List[Edge]]:
-    """The vertex of cell at p, if any, and the edges of cell through p, in cell_edges order."""
-    kind, where = locate_point(p, EPS_GEO)
+def _on_cell(location: tuple, cell: Cell) -> Tuple[Optional[Corner], List[Edge]]:
+    """The vertex of cell at a located point, if any, and the edges of cell
+    through it, in cell_edges order."""
+    kind, where = location
     if kind == "corner":
         vertex = where if where in cell_vertices(cell) else None
         return vertex, [e for e in cell_edges(cell) if where in e]
@@ -298,10 +296,10 @@ def _on_cell(p: Point, cell: Cell) -> Tuple[Optional[Corner], List[Edge]]:
     return None, []
 
 
-def _visit_case(visit: WalkRecord) -> CrossingSegment:
-    """Resolve one cell visit to its corner-path contribution."""
+def _visit_case(visit: WalkRecord, located: Dict[Point, tuple]) -> CrossingSegment:
+    """Resolve one cell visit, whose ends located holds, to its corner-path contribution."""
     cell, a, b = visit.cell, visit.entry, visit.exit
-    (va, a_edges), (vb, b_edges) = _on_cell(a, cell), _on_cell(b, cell)
+    (va, a_edges), (vb, b_edges) = _on_cell(located[a], cell), _on_cell(located[b], cell)
     common = [e for e in a_edges if e in b_edges]
     if common:
         e = common[0]
@@ -343,12 +341,14 @@ def crossing_path(sp: PolylineWalk, weights: WeightMap) -> CrossingPath:
     """
     if not sp.points:
         raise MalformedPathError("empty polyline")
-    located = [_boundary_location(p, EPS_GEO) for p in sp.points]
-    (start_kind, start), (end_kind, end) = located[0], located[-1]
+    for p in sp.points:
+        if sp.located[p][0] == "cell":
+            raise MalformedPathError(f"point {p!r} is not on the lattice boundary")
+    (start_kind, start), (end_kind, end) = sp.located[sp.points[0]], sp.located[sp.points[-1]]
     if start_kind != "corner" or end_kind != "corner":
         raise MalformedPathError("polyline must start and end at corners")
     visits = _visit_sequence(weights, sp)
-    segments = tuple(_visit_case(v) for v in visits)
+    segments = tuple(_visit_case(v, sp.located) for v in visits)
     corners: List[Corner] = [start]
     for corner in [c for seg in segments for c in seg.corners] + [end]:
         if corner == corners[-1]:
@@ -380,22 +380,19 @@ def grid_path_cost(weights: WeightMap, corners: Sequence[Corner]) -> float:
 
 
 def _coincidence_arcs(
-    pieces: Sequence[Tuple[float, float, WalkRecord]],
-    sp_end: float,
-    x: CrossingPath,
-    x_edges: Sequence[Edge],
-    x_cum: Sequence[float],
+    sp: PolylineWalk, x: CrossingPath, x_edges: Sequence[Edge], x_cum: Sequence[float]
 ) -> List[Tuple[float, float]]:
     """Arclength pairs where SP meets X, ordered along both.
 
-    SP meets X where one of its pieces' ends locates onto a corner of X, at
-    that corner's arc, or onto an edge of X, at the offset along the edge.
+    SP meets X where one of its pieces' ends is located on a corner of X,
+    at that corner's arc, or on an edge of X, at the offset along the edge.
     """
+    pieces, sp_end = sp.pieces, sp.cum[-1]
     ends = [(lo, rec.entry) for lo, _, rec in pieces] + [(hi, rec.exit) for _, hi, rec in pieces]
     events: List[Tuple[float, float]] = []
-    # a point two pieces share is located once
+    # a point two pieces share is one event
     for arc, p in dict.fromkeys(ends):
-        kind, where = locate_point(p, EPS_GEO)
+        kind, where = sp.located[p]
         if kind == "corner":
             events += [(arc, x_cum[k]) for k, c in enumerate(x.corners) if c == where]
         elif kind == "edges":
@@ -436,17 +433,19 @@ def _coincidence_arcs(
 
 
 def _classify(
-    sp_sub: Sequence[Point], x_sub: Sequence[Point]
+    contacts: Sequence[tuple], on_x: Set[Corner]
 ) -> Tuple[int, Corner, Tuple[Edge, ...]]:
-    """Kind, pivot and cut edges of a pocket whose inner path is sp_sub.
+    """Kind, pivot and cut edges of a pocket from where its inner path meets the lattice.
 
-    sp_sub must hold every point where it meets the lattice as a vertex.
-    It touches a pivot-incident edge iff one of its vertices, located at
-    _EPS_ON, lies on that edge or on one of its ends.
+    contacts are locate_point's answers, at EPS_GEO, for every point where
+    the inner path meets the lattice, in order; the first and last are the
+    pocket's ends, on the lattice boundary. The path touches a
+    pivot-incident edge iff a contact lies on that edge or on one of its
+    ends. on_x holds X's corners in the pocket, which are tried first as
+    pivots.
     """
     cands: List[Set[Corner]] = []
-    for u in (sp_sub[0], sp_sub[-1]):
-        kind, where = _boundary_location(u, _EPS_ON)
+    for kind, where in (contacts[0], contacts[-1]):
         if kind == "corner":
             cands.append({where} | set(adjacent_corners(where)))
         else:
@@ -454,10 +453,8 @@ def _classify(
     shared_corners = cands[0] & cands[1]
     if not shared_corners:
         raise TopologyError("pocket endpoints share no corner")
-    located = [locate_point(p, _EPS_ON) for p in set(sp_sub)]
-    touched_corners = {where for kind, where in located if kind == "corner"}
-    touched_edges = {e for kind, where in located if kind == "edges" for e in where}
-    on_x = {where for kind, where in (locate_point(p, _EPS_ON) for p in x_sub) if kind == "corner"}
+    touched_corners = {where for kind, where in contacts if kind == "corner"}
+    touched_edges = {e for kind, where in contacts if kind == "edges" for e in where}
     order = sorted(shared_corners, key=lambda c: (c not in on_x, c[1], c[0]))
     for pivot in order:
         ends = [(pivot[0] + step[0], pivot[1] + step[1]) for step in CORNER_STEPS_CCW]
@@ -488,11 +485,11 @@ def coincidence_decomposition(sp: PolylineWalk, x: CrossingPath) -> CoincidenceD
     matches X's and each of its pieces runs along an edge of X in the
     pocket; its pivot and cut edge come from its first piece's edge.
     """
-    sp_pts, sp_cum, pieces = sp
+    sp_pts, sp_cum, pieces, located = sp
     x_pts = tuple(corner_position(c) for c in x.corners)
     x_cum = _cum_lengths(x_pts)
     x_edges = [edge_key(a, b) for a, b in zip(x.corners, x.corners[1:])]
-    arcs = _coincidence_arcs(pieces, sp_cum[-1], x, x_edges, x_cum)
+    arcs = _coincidence_arcs(sp, x, x_edges, x_cum)
     polygons: List[GapPolygon] = []
     for k in range(len(arcs) - 1):
         (lo_sp, lo_x), (hi_sp, hi_x) = arcs[k], arcs[k + 1]
@@ -504,14 +501,17 @@ def coincidence_decomposition(sp: PolylineWalk, x: CrossingPath) -> CoincidenceD
             for j, e in enumerate(x_edges)
             if x_cum[j] < hi_x - _ARC_TOL and x_cum[j + 1] > lo_x + _ARC_TOL
         }
-        if abs((hi_sp - lo_sp) - (hi_x - lo_x)) <= _EPS_ON and all(
+        if abs((hi_sp - lo_sp) - (hi_x - lo_x)) <= _ARC_TOL and all(
             rec.kind == EDGE_COLLINEAR and rec.edge in x_run for rec in inside
         ):
             edge = inside[0].edge
             polygons.append(GapPolygon(1, edge[0], sp_sub, x_sub, (edge,), True, inside))
             continue
-        contacts = (sp_sub[0], *(p for rec in inside for p in (rec.entry, rec.exit)), sp_sub[-1])
-        kind, pivot, cut = _classify(contacts, x_sub)
+        contacts = [located[p] for rec in inside for p in (rec.entry, rec.exit)]
+        on_x = {
+            c for c, arc in zip(x.corners, x_cum) if lo_x - _ARC_TOL <= arc <= hi_x + _ARC_TOL
+        }
+        kind, pivot, cut = _classify(contacts, on_x)
         polygons.append(GapPolygon(kind, pivot, sp_sub, x_sub, cut, False, inside))
     return CoincidenceDecomposition(tuple(polygons), sp)
 
@@ -590,15 +590,14 @@ def _p2_equalized(
     edges) do not hold."""
     if len(gap.cut_edges) != 2:
         raise EqualizeError("pocket does not cut exactly two edges")
-    u0, u1 = gap.sp_points[0], gap.sp_points[-1]
 
     def on_edge(p: Point) -> Optional[Edge]:
-        kind, where = locate_point(p, _EPS_ON)
+        kind, where = d.sp.located[p]
         if kind == "corner" and any(where in e for e in gap.cut_edges):
             raise EqualizeError("pocket endpoint sits at a corner")
         return next((e for e in gap.cut_edges if kind == "edges" and e in where), None)
 
-    e1, e2 = on_edge(u0), on_edge(u1)
+    e1, e2 = on_edge(gap.pieces[0].entry), on_edge(gap.pieces[-1].exit)
     if e1 is None or e2 is None or e1 == e2:
         raise EqualizeError("pocket endpoints are not interior to distinct cut edges")
     cells = set(edge_cells(e1)) & set(edge_cells(e2))

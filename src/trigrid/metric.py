@@ -33,7 +33,7 @@ class WeightMap:
     """Positive cell weights on a rows x cols window.
 
     Infinity marks impassable cells. The value grid is kept read-only so a
-    map can be shared freely; derive modified maps with replace().
+    map can be shared freely.
     """
 
     __slots__ = ("values", "rows", "cols")
@@ -54,15 +54,6 @@ class WeightMap:
         if 0 <= row < self.rows and 0 <= col < self.cols:
             return float(self.values[row, col])
         return math.inf
-
-    def replace(self, cell: Cell, weight: float) -> "WeightMap":
-        """A copy of this map with one cell's weight changed."""
-        row, col = cell
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ValueError(f"cell outside the window: {cell!r}")
-        out = np.array(self.values)
-        out[row, col] = weight
-        return WeightMap(out)
 
     def __repr__(self):
         return f"WeightMap({self.rows}x{self.cols})"

@@ -200,7 +200,10 @@ class _SteinerGraph:
         # 3 + m those from vertex m: a target on an edge that holds the source
         # pays that edge's min-rule weight, any other the cell weight
         cell_w = weights.values[cells[:, 0], cells[:, 1]]
-        edge_w = np.minimum(cell_w[:, None], _across_weights(weights, cells))
+        # an edge's min-rule weight is the least weight of the finite cells that hold it
+        min_w = np.full(len(edges), np.inf)
+        np.minimum.at(min_w, slot_edges, cell_w[:, None])
+        edge_w = min_w[slot_edges]
         weight_rows = np.empty((n_cells, 6, 3 + 3 * per_edge))
         weight_rows[:] = cell_w[:, None, None]
         for row, slots in enumerate(((0,), (1,), (2,), *_VERTEX_EDGE_SLOTS)):
@@ -278,22 +281,6 @@ class _SteinerGraph:
             path = self._merge_edge_runs(path)
         points = tuple((self.x[k], self.y[k]) for k in path)
         return (cost, points, settled)
-
-
-def _across_weights(weights: WeightMap, cells: np.ndarray) -> np.ndarray:
-    """(C, 3) weight of the cell across each slot of cell_edges(cell).
-
-    Slot 0 faces (row, col - 1); slot 1 faces (row, col + 1) from an upward
-    cell and (row + 1, col) from a downward one; slot 2 faces (row - 1, col)
-    and (row, col + 1). Cells outside the window weigh infinity.
-    """
-    row, col = cells[:, 0], cells[:, 1]
-    down = (row + col) % 2
-    d_row = np.stack((np.zeros_like(down), down, down - 1), axis=1)
-    d_col = np.stack((np.full_like(down, -1), 1 - down, down), axis=1)
-    padded = np.full((weights.rows + 2, weights.cols + 2), np.inf)
-    padded[1:-1, 1:-1] = weights.values
-    return padded[row[:, None] + d_row + 1, col[:, None] + d_col + 1]
 
 
 def _steiner_support(tess: Tessellation, weights: WeightMap, level: int) -> _Support:

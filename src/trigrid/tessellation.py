@@ -12,8 +12,9 @@ rho = k and |u - k| * sqrt(3) / 2 from the line u = k, and likewise for v.
 A point inside a cell lies in cell (floor(rho), floor(u / 2) + floor(v / 2)).
 locate_point(p, tol) answers in this order of precedence: the corner
 within tol of p, else every edge whose closed segment lies within tol,
-else the cell. The tolerance is an argument because callers use both
-EPS_GEO and a looser one for points derived from intersections.
+else the cell. The tolerance is an argument: walks locate points at
+EPS_GEO, and a run along an edge is found from its midpoint at a quarter
+of its length.
 
 Geometric predicates, locate_point among them, work on the unbounded
 lattice; the Tessellation class adds the rows x cols window of cells that

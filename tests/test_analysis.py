@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from trigrid.metric import WeightMap, segment_cost, walk_cost
 from trigrid.oracle import approx_shortest_path, refine_until
 from trigrid.analysis import (
     _ARC_TOL,
-    _EPS_ON,
     RATIO_BOUND,
     RATIO_TOL,
     CoincidenceDecomposition,
@@ -22,7 +22,6 @@ from trigrid.analysis import (
     MalformedPathError,
     Shortcut,
     TopologyError,
-    _boundary_location,
     _classify,
     _cum_lengths,
     _edge_run_cost,
@@ -201,8 +200,9 @@ class TestClassifyPolygon:
         # the bulge bends inside a cell, which crossing_path refuses as a path
         # vertex, so no decomposition yields it: classify the sub-paths directly
         sp_sub = ((0.5, 0.0), (1.0, 0.5), (1.5, 0.0))
-        x_sub = ((0.5, 0.0), (1.5, 0.0))
-        assert _classify(sp_sub, x_sub) == (1, (0, 0), (((0, 0), (2, 0)),))
+        contacts = [locate_point(p, EPS_GEO) for p in sp_sub]
+        # X runs from (0.5, 0) to (1.5, 0) along one edge and holds no corner there
+        assert _classify(contacts, set()) == (1, (0, 0), (((0, 0), (2, 0)),))
 
     def test_strip_gap_is_kind_three(self):
         tess, w, s, t = strip(1)
@@ -504,6 +504,25 @@ class TestRatioReport:
         assert any(p.equalized_ratio is not None for p in rep.polygons)
         assert len(calls) == len(rep.sp_path) - 1 + rep.histogram[1]
 
+    def test_locates_each_sp_point_once(self, monkeypatch):
+        # the walk locates every vertex and piece end of SP, and no other
+        # layer asks again; pricing X's edge runs asks with a wider tolerance
+        tess, w = random_instance(4)
+        s, t = far_endpoints(tess)
+        calls = []
+
+        def counting(p, tol):
+            calls.append((p, tol))
+            return locate_point(p, tol)
+
+        monkeypatch.setattr(analysis, "locate_point", counting)
+        rep = ratio_report(tess, w, s, t)
+        assert rep.histogram[1] == 2
+        sp = rep.sp_path
+        walks = [segment_walk(a, b) for a, b in zip(sp, sp[1:])]
+        ends = [q for walk in walks for rec in walk for q in (rec.entry, rec.exit)]
+        assert Counter(p for p, tol in calls if tol == EPS_GEO) == Counter(set(sp) | set(ends))
+
     def test_uniform_weights_stay_within_the_bound(self):
         tess = Tessellation(4, 5)
         w = WeightMap(np.full((4, 5), 3.0))
@@ -550,6 +569,17 @@ class TestRatioReport:
 # their sides again. The decomposition reads its contacts off SP's walk
 # alone and prices each pocket from its own pieces; it must find the same
 # pockets at the same prices.
+
+# The reference locates the points it derives at this looser tolerance.
+_EPS_ON = 1e-6
+
+
+def _boundary_location(p, tol):
+    """locate_point's answer for a point that must lie on a corner or an edge."""
+    kind, where = locate_point(p, tol)
+    if kind == "cell":
+        raise MalformedPathError(f"point {p!r} is not on the lattice boundary")
+    return kind, where
 
 
 def ref_seg_point_dist(p, a, b):

@@ -49,9 +49,6 @@ def test_weight_map_is_read_only():
     w = weight_map_3x4()
     with pytest.raises(ValueError):
         w.values[0, 0] = 5.0
-    w2 = w.replace((1, 2), 7.0)
-    assert w2.effective((1, 2)) == 7.0
-    assert w.effective((1, 2)) == 1.0
 
 
 def test_edge_weight_min_rule():
