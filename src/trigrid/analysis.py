@@ -22,9 +22,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .grid_paths import shortest_grid_path, shortest_vertex_path
+from .grid_paths import shortest_grid_path
 from .metric import WeightMap, edge_weight, grid_edge_cost, segment_cost, walk_cost
-from .oracle import DEFAULT_MAX_LEVEL, DEFAULT_REL_TOL, approx_shortest_path, refine_until
+from .oracle import DEFAULT_MAX_LEVEL, DEFAULT_REL_TOL, _SolveContext, approx_shortest_path
 from .tessellation import (
     CORNER_STEPS_CCW,
     EDGE_COLLINEAR,
@@ -191,13 +191,6 @@ class AnomalyResult(NamedTuple):
     shortcut_cost: float
     shortcut_ratio: float
     level: int
-
-
-def law_of_cosines_dist(pv: float, vq: float) -> float:
-    """Distance between points at distances pv, vq from a corner, 60 degrees apart."""
-    if not (0.0 <= pv <= 2.0 and 0.0 <= vq <= 2.0):
-        raise ValueError(f"leg lengths must lie in [0, 2]: {pv!r}, {vq!r}")
-    return math.sqrt(pv * pv + vq * vq - pv * vq)
 
 
 # -- polylines ----------------------------------------------------------------
@@ -693,13 +686,13 @@ def ratio_report(
 ) -> RatioReport:
     """Solve all three path families and price the pocket decomposition.
 
-    The oracle runs first, so its checks of the inputs hold for s == t too.
+    The oracle runs first, so its checks of the inputs hold for s == t too;
+    its level 0, the complete corner graph, gives SVP.
     """
-    oracle = refine_until(tess, weights, s, t, rel_tol=rel_tol, max_level=max_level)
+    oracle, svp = _SolveContext(tess, weights, s, t, max_level).refine(rel_tol)
     if s == t:
         return RatioReport(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, (0,) * 6, 0, True, (), oracle.path)
     sgp = shortest_grid_path(tess, weights, s, t)
-    svp = shortest_vertex_path(tess, weights, s, t)
     sp = walk_polyline(oracle.path)
     x = crossing_path(sp, weights)
     x_cost = grid_path_cost(weights, x.corners)

@@ -154,12 +154,14 @@ def shortest_vertex_path(
     _check_endpoints(tess, weights, s, t)
     if s == t:
         return PathResult((s,), 0.0)
-    corners = tess.corners
     m = corner_hop_table(tess).cost_matrix(weights)
-    heads = np.arange(len(corners))
-    cost, path, _ = _frontier_search(
-        len(corners), tess.corner_ids[s], tess.corner_ids[t], lambda u: ((heads, m[u]),)
-    )
+    cost, path, _ = _hop_search(m, tess.corner_ids[s], tess.corner_ids[t])
     if math.isinf(cost):
         raise UnreachableError(f"no finite-cost vertex path from {s!r} to {t!r}")
-    return PathResult(tuple(corners[k] for k in path), cost)
+    return PathResult(tuple(tess.corners[k] for k in path), cost)
+
+
+def _hop_search(hop_matrix: np.ndarray, si: int, ti: int) -> Tuple[float, List[int], int]:
+    """The vertex-path search over a hop-cost matrix; also the oracle's level 0."""
+    heads = np.arange(len(hop_matrix))
+    return _frontier_search(len(heads), si, ti, lambda u: ((heads, hop_matrix[u]),))

@@ -8,8 +8,10 @@ min-rule weight along a shared edge. Every graph path is a genuine plane
 path, so the reported cost is an upper bound on the true optimum, and it is
 non-increasing in the level because dyadic node sets nest.
 
-At level 0 the graph degenerates to the complete corner graph, so the
-result coincides with the vertex-path solver's.
+At level 0 the graph is the complete corner graph, whose cliques add no
+arc cheaper than a hop, so level 0 runs the vertex-path search. What no
+level changes sits in one _SolveContext per call, so a ratio report makes
+one corner-graph search, for SVP and level 0 both.
 
 Clique arcs are priced from one exact distance table per level. Every cell
 is an equilateral triangle of side 2 with its level-L nodes every 2**(1-L)
@@ -37,7 +39,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .grid_paths import UnreachableError, _check_endpoints, _frontier_search
+from .grid_paths import UnreachableError, _check_endpoints, _frontier_search, _hop_search
 from .metric import WeightMap, corner_hop_table
 from .tessellation import SQRT3, Corner, Point, Tessellation, corner_position
 
@@ -168,20 +170,13 @@ class _SteinerGraph:
     prices all of a node's cliques with one gather from one table row.
     """
 
-    def __init__(self, tess: Tessellation, weights: WeightMap, level: int, support: _Support):
-        cells, verts, edges, slot_edges = support
-        n_corners = len(tess.corners)
-        n_cells = len(cells)
-        per_edge = 2 ** level - 1
-        self.tess = tess
-        self.n_corners = n_corners
-        self.per_edge = per_edge
-        self.edges = edges
-        self.hop_matrix = corner_hop_table(tess).cost_matrix(weights)
-        self.corner_heads = np.arange(n_corners)
+    def __init__(self, ctx: "_SolveContext", level: int):
+        cells, verts, edges, slot_edges = ctx.support
+        n_corners, n_cells, per_edge = len(ctx.cx), len(cells), 2 ** level - 1
+        self.n_corners, self.per_edge, self.edges = n_corners, per_edge, edges
+        self.hop_matrix, self.corner_heads = ctx.hop_matrix, np.arange(n_corners)
 
-        corner_i, corner_j = tess.corner_array.T
-        cx, cy = corner_i.astype(float), corner_j * SQRT3
+        cx, cy = ctx.cx, ctx.cy
         fractions = np.arange(1, per_edge + 1) / float(2 ** level)
         ax, ay = cx[edges[:, 0], None], cy[edges[:, 0], None]
         bx, by = cx[edges[:, 1], None], cy[edges[:, 1], None]
@@ -199,16 +194,11 @@ class _SteinerGraph:
         # weight row k (0-2) prices the arcs from a node on edge slot k, row
         # 3 + m those from vertex m: a target on an edge that holds the source
         # pays that edge's min-rule weight, any other the cell weight
-        cell_w = weights.values[cells[:, 0], cells[:, 1]]
-        # an edge's min-rule weight is the least weight of the finite cells that hold it
-        min_w = np.full(len(edges), np.inf)
-        np.minimum.at(min_w, slot_edges, cell_w[:, None])
-        edge_w = min_w[slot_edges]
         weight_rows = np.empty((n_cells, 6, 3 + 3 * per_edge))
-        weight_rows[:] = cell_w[:, None, None]
+        weight_rows[:] = ctx.cell_w[:, None, None]
         for row, slots in enumerate(((0,), (1,), (2,), *_VERTEX_EDGE_SLOTS)):
             for k in slots:
-                weight_rows[:, row, members[k]] = edge_w[:, k, None]
+                weight_rows[:, row, members[k]] = ctx.edge_w[:, k, None]
 
         # relaxation groups: corners 0..n_corners-1, then one per edge. A group
         # keeps each head once: the copies that cells sharing an edge give it
@@ -226,10 +216,6 @@ class _SteinerGraph:
         self.table, columns = _clique_table(level)
         down = (cells[:, 0] + cells[:, 1]) % 2
         self.head_idx = columns[down[row_cell], row_kind].ravel()[first]
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.x)
 
     def _arcs(self, u: int) -> List[Tuple[np.ndarray, np.ndarray]]:
         """The hop row of a corner, then the merged clique heads of u."""
@@ -258,7 +244,7 @@ class _SteinerGraph:
         Only an edge node pins down the one edge that three nodes could
         share: no edge holds three corners.
         """
-        keep = [path[0]]
+        keep = path[:1]
         for trio in zip(path, path[1:], path[2:]):
             node = next((u for u in trio if u >= self.n_corners), None)
             if node is not None:
@@ -266,21 +252,7 @@ class _SteinerGraph:
                 if all(self._lies_on(u, edge) for u in trio):
                     continue
             keep.append(trio[1])
-        keep.append(path[-1])
-        return keep
-
-    def shortest(self, s: Corner, t: Corner) -> Tuple[float, Tuple[Point, ...], int]:
-        """Cost, point path and settled-node count; (inf, (), settled) if unreachable.
-
-        The path runs along each edge in one hop (see _merge_edge_runs).
-        """
-        si = self.tess.corner_ids[s]
-        ti = self.tess.corner_ids[t]
-        cost, path, settled = _frontier_search(self.n_nodes, si, ti, self._arcs)
-        if path:
-            path = self._merge_edge_runs(path)
-        points = tuple((self.x[k], self.y[k]) for k in path)
-        return (cost, points, settled)
+        return keep + path[-1:]
 
 
 def _steiner_support(tess: Tessellation, weights: WeightMap, level: int) -> _Support:
@@ -324,6 +296,72 @@ def _steiner_support(tess: Tessellation, weights: WeightMap, level: int) -> _Sup
     return _Support(cells, verts, edges, slot_edges)
 
 
+class _SolveContext:
+    """What no level of one s-t solve changes: support, hop costs (none if
+    s == t), cell and min-rule edge weights, corner positions. solve() drops
+    each level's graph on return, so no two levels' graphs are alive at once."""
+
+    def __init__(
+        self, tess: Tessellation, weights: WeightMap, s: Corner, t: Corner, max_level: int
+    ):
+        """Refuses bad endpoints, and a max_level over the budget."""
+        _check_endpoints(tess, weights, s, t)
+        self.s, self.t, self.max_level = s, t, max_level
+        self.si, self.ti = tess.corner_ids[s], tess.corner_ids[t]
+        self.support = _steiner_support(tess, weights, max_level)
+        cells, _, edges, slot_edges = self.support
+        self.hop_matrix = None if s == t else corner_hop_table(tess).cost_matrix(weights)
+        self.cell_w = weights.values[cells[:, 0], cells[:, 1]]
+        # an edge's min-rule weight is the least weight of the finite cells that hold it
+        min_w = np.full(len(edges), np.inf)
+        np.minimum.at(min_w, slot_edges, self.cell_w[:, None])
+        self.edge_w = min_w[slot_edges]
+        corner_i, corner_j = tess.corner_array.T
+        self.cx, self.cy = corner_i.astype(float), corner_j * SQRT3
+
+    def solve(self, level: int) -> OracleResult:
+        """The level's path, logging its nodes, settles and cost at DEBUG."""
+        if self.s == self.t:
+            return OracleResult((corner_position(self.s),), 0.0, level, True)
+        if level == 0:
+            x, y = self.cx, self.cy
+            cost, path, settled = _hop_search(self.hop_matrix, self.si, self.ti)
+        else:
+            graph = _SteinerGraph(self, level)
+            x, y = graph.x, graph.y
+            cost, path, settled = _frontier_search(len(x), self.si, self.ti, graph._arcs)
+            path = graph._merge_edge_runs(path)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("level %d: %d nodes, %d settled, cost %r", level, len(x), settled, cost)
+        if math.isinf(cost):
+            raise UnreachableError(f"no finite-cost path from {self.s!r} to {self.t!r}")
+        return OracleResult(tuple((x[k], y[k]) for k in path), cost, level, False)
+
+    def refine(self, rel_tol: float) -> Tuple[OracleResult, OracleResult]:
+        """refine_until's result, and level 0's, which is SVP's."""
+        if rel_tol <= 0.0:
+            raise ValueError("rel_tol must be positive")
+        debug = logger.isEnabledFor(logging.DEBUG)
+        prev = corner_graph = self.solve(0)
+        if prev.cost == 0.0:
+            if debug:
+                logger.debug("stopped at level 0: zero cost")
+            return prev, corner_graph
+        for level in range(1, self.max_level + 1):
+            cur = self.solve(level)
+            improvement = (prev.cost - cur.cost) / cur.cost
+            if debug:
+                logger.debug("level %d: relative improvement %.3g", level, improvement)
+            if improvement < rel_tol:
+                if debug:
+                    logger.debug("stopped at level %d: tolerance %g met", level, rel_tol)
+                return OracleResult(cur.path, cur.cost, level, True), corner_graph
+            prev = cur
+        if debug:
+            logger.debug("stopped at level %d: max_level reached", self.max_level)
+        return prev, corner_graph
+
+
 def approx_shortest_path(
     tess: Tessellation, weights: WeightMap, s: Corner, t: Corner, level: int = 3
 ) -> OracleResult:
@@ -333,19 +371,7 @@ def approx_shortest_path(
     results report False unless the endpoints coincide. At DEBUG the module
     logger records the level's node count, settled-node count and cost.
     """
-    _check_endpoints(tess, weights, s, t)
-    support = _steiner_support(tess, weights, level)
-    if s == t:
-        return OracleResult((corner_position(s),), 0.0, level, True)
-    graph = _SteinerGraph(tess, weights, level, support)
-    cost, path, settled = graph.shortest(s, t)
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "level %d: %d nodes, %d settled, cost %r", level, graph.n_nodes, settled, cost
-        )
-    if math.isinf(cost):
-        raise UnreachableError(f"no finite-cost path from {s!r} to {t!r}")
-    return OracleResult(path, cost, level, False)
+    return _SolveContext(tess, weights, s, t, level).solve(level)
 
 
 def refine_until(
@@ -365,26 +391,4 @@ def refine_until(
     each level's search logs its line (see approx_shortest_path), then this
     loop logs the level's relative improvement and, last, why it stopped.
     """
-    _check_endpoints(tess, weights, s, t)
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
-    _steiner_support(tess, weights, max_level)
-    debug = logger.isEnabledFor(logging.DEBUG)
-    prev = approx_shortest_path(tess, weights, s, t, level=0)
-    if prev.cost == 0.0:
-        if debug:
-            logger.debug("stopped at level 0: zero cost")
-        return prev
-    for level in range(1, max_level + 1):
-        cur = approx_shortest_path(tess, weights, s, t, level=level)
-        improvement = (prev.cost - cur.cost) / cur.cost
-        if debug:
-            logger.debug("level %d: relative improvement %.3g", level, improvement)
-        if improvement < rel_tol:
-            if debug:
-                logger.debug("stopped at level %d: tolerance %g met", level, rel_tol)
-            return OracleResult(cur.path, cur.cost, level, True)
-        prev = cur
-    if debug:
-        logger.debug("stopped at level %d: max_level reached", max_level)
-    return prev
+    return _SolveContext(tess, weights, s, t, max_level).refine(rel_tol)[0]

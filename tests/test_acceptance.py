@@ -15,7 +15,6 @@ import pytest
 from trigrid.analysis import (
     RATIO_BOUND,
     crossing_path,
-    law_of_cosines_dist,
     ratio_report,
     search_p2_anomaly,
     svp_lower_bound_constant,
@@ -34,6 +33,7 @@ from trigrid.tessellation import (
     corner_position,
 )
 from trigrid.metric import WeightMap
+from test_analysis import law_of_cosines_dist
 
 RANDOM_PLAN = (((4, 5), 350), ((6, 6), 100), ((8, 7), 40), ((10, 9), 8), ((12, 12), 2))
 MAZE_COUNT = 200

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trigrid import analysis, metric
+from trigrid import analysis, metric, oracle
 from trigrid.grid_paths import UnreachableError, shortest_grid_path
 from trigrid.instances import GenerationError, gen_random, gen_two_weight_maze
 from trigrid.metric import WeightMap, segment_cost, walk_cost
@@ -32,7 +32,6 @@ from trigrid.analysis import (
     coincidence_decomposition,
     crossing_path,
     grid_path_cost,
-    law_of_cosines_dist,
     per_polygon_ratios,
     ratio_report,
     search_p2_anomaly,
@@ -90,6 +89,13 @@ def contact_points(d):
 def far_endpoints(tess):
     ti = tess.cols + 1 if (tess.cols + 1 + tess.rows) % 2 == 0 else tess.cols
     return (0, 0), (ti, tess.rows)
+
+
+def law_of_cosines_dist(pv: float, vq: float) -> float:
+    """Distance between points at distances pv, vq from a corner, 60 degrees apart."""
+    if not (0.0 <= pv <= 2.0 and 0.0 <= vq <= 2.0):
+        raise ValueError(f"leg lengths must lie in [0, 2]: {pv!r}, {vq!r}")
+    return math.sqrt(pv * pv + vq * vq - pv * vq)
 
 
 class TestLawOfCosines:
@@ -522,6 +528,29 @@ class TestRatioReport:
         walks = [segment_walk(a, b) for a, b in zip(sp, sp[1:])]
         ends = [q for walk in walks for rec in walk for q in (rec.entry, rec.exit)]
         assert Counter(p for p, tol in calls if tol == EPS_GEO) == Counter(set(sp) | set(ends))
+
+    def test_prices_the_hop_matrix_and_builds_the_support_once(self, monkeypatch):
+        # every level, and SVP as level 0, reads one solve context
+        inst = gen_random(6, 6, seed=8)
+        tess, w = inst.tessellation, inst.weights
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            metric.CornerHopTable,
+            "cost_matrix",
+            counting("cost_matrix", metric.CornerHopTable.cost_matrix),
+        )
+        monkeypatch.setattr(oracle, "_steiner_support", counting("support", oracle._steiner_support))
+        rep = ratio_report(tess, w, (2, 0), (6, 6), max_level=3)
+        assert rep.level == 3
+        assert calls == {"cost_matrix": 1, "support": 1}
 
     def test_uniform_weights_stay_within_the_bound(self):
         tess = Tessellation(4, 5)

@@ -1,6 +1,7 @@
 import heapq
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from trigrid.grid_paths import (
     shortest_vertex_path,
 )
 from trigrid import oracle
-from trigrid.instances import gen_strip, gen_two_weight_maze
+from trigrid.analysis import ratio_report
+from trigrid.instances import gen_random, gen_strip, gen_two_weight_maze
 from trigrid.metric import WeightMap, corner_hop_table, edge_weight, segment_cost
 from trigrid.oracle import (
     OracleResult,
@@ -459,3 +461,64 @@ def test_reported_paths_run_along_each_edge_in_one_hop(case):
         path = res.path
         assert not any(on_one_edge(*trio) for trio in zip(path, path[1:], path[2:]))
         assert path_cost(w, path) == pytest.approx(res.cost, rel=1e-12, abs=0)
+
+
+def loop_refine(tess, w, s, t, rel_tol=oracle.DEFAULT_REL_TOL, max_level=oracle.DEFAULT_MAX_LEVEL):
+    """refine_until as a loop over approx_shortest_path, each level solved alone."""
+    prev = approx_shortest_path(tess, w, s, t, level=0)
+    if prev.cost == 0.0:
+        return prev
+    for level in range(1, max_level + 1):
+        cur = approx_shortest_path(tess, w, s, t, level=level)
+        if (prev.cost - cur.cost) / cur.cost < rel_tol:
+            return OracleResult(cur.path, cur.cost, level, True)
+        prev = cur
+    return prev
+
+
+def assert_refines_like_the_loop(tess, w, s, t, **kwargs):
+    try:
+        want = loop_refine(tess, w, s, t, **kwargs)
+    except UnreachableError:
+        with pytest.raises(UnreachableError):
+            refine_until(tess, w, s, t, **kwargs)
+        with pytest.raises(UnreachableError):
+            ratio_report(tess, w, s, t, **kwargs)
+        return
+    assert refine_until(tess, w, s, t, **kwargs) == want
+    # SVP is the solve context's level 0, bit for bit
+    assert ratio_report(tess, w, s, t, **kwargs).svp_cost == shortest_vertex_path(tess, w, s, t).cost
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_refine_until_matches_a_loop_over_levels(case):
+    tess, w, s, t = REFERENCE_CASES[case]()
+    assert_refines_like_the_loop(tess, w, s, t)
+    assert_refines_like_the_loop(tess, w, s, t, rel_tol=1e-2, max_level=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_refine_until_matches_a_loop_over_levels_on_random_windows(seed):
+    tess, w = random_instance(seed)
+    assert_refines_like_the_loop(tess, w, *endpoints(tess), max_level=5)
+
+
+def test_refine_until_keeps_one_level_graph_alive():
+    inst = gen_random(6, 6, seed=8)
+    tess, w, s, t = inst.tessellation, inst.weights, (2, 0), (6, 6)
+
+    def peak(solve):
+        tracemalloc.start()
+        try:
+            result = solve()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    refine_until(tess, w, s, t, max_level=6)  # fill the hop-table and clique-table caches
+    _, alone = peak(lambda: approx_shortest_path(tess, w, s, t, level=6))
+    res, refined = peak(lambda: refine_until(tess, w, s, t, max_level=6))
+    assert res.level == 6 and not res.converged
+    # the level-5 graph, kept alive while level 6 is built, adds about 15% here
+    assert refined <= 1.1 * alone
