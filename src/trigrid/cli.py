@@ -31,7 +31,13 @@ from .instances import (
     save_instance,
 )
 from .metric import WeightMap, segment_cost
-from .oracle import DEFAULT_MAX_LEVEL, DEFAULT_REL_TOL, approx_shortest_path, refine_until
+from .oracle import (
+    DEFAULT_MAX_LEVEL,
+    DEFAULT_REL_TOL,
+    _SolveContext,
+    approx_shortest_path,
+    refine_until,
+)
 from .tessellation import Tessellation, corner_position
 
 EXIT_OK = 0
@@ -167,15 +173,14 @@ def _check_polygons(inst: Instance, rel_tol: float) -> List[str]:
 def _check_oracle(inst: Instance, trial: int) -> List[str]:
     tess, weights = inst.tessellation, inst.weights
     out = []
-    costs = [
-        approx_shortest_path(tess, weights, inst.source, inst.target, level=l).cost
-        for l in range(4)
-    ]
+    ctx = _SolveContext(tess, weights, inst.source, inst.target, max_level=3)
+    costs = [ctx.solve(level).cost for level in range(4)]
     for a, b in zip(costs, costs[1:]):
         if b > a + 1e-9:
             out.append(f"level costs not monotone: {costs}")
             break
-    # level 0 is the complete corner graph, so it must agree with SVP
+    # level 0 is the complete corner graph, so it must agree with SVP, solved
+    # apart from the context
     svp = shortest_vertex_path(tess, weights, inst.source, inst.target).cost
     if abs(costs[0] - svp) > 1e-12 * abs(svp):
         out.append(f"level 0 cost {costs[0]!r} differs from vertex path {svp!r}")

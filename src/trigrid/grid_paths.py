@@ -24,7 +24,7 @@ from typing import Callable, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .metric import WeightMap, _effective_array, corner_hop_table
+from .metric import WeightMap, _flat_cells, _padded_weights, corner_hop_table
 from .tessellation import Corner, Tessellation, adjacent_corners, edge_cells
 
 
@@ -60,6 +60,7 @@ _STEP_CELLS = np.array([edge_cells(((0, 0), step)) for step in adjacent_corners(
 def _grid_arcs(tess: Tessellation, weights: WeightMap) -> Tuple[np.ndarray, np.ndarray]:
     """(n_corners, 6) heads and costs of every corner's lattice edges.
 
+    Cells are read from the padded weight grid the hop tables price from.
     A step off the window is an arc from the corner to itself. Both cells
     along its edge lie outside the window, so it costs infinity and never
     relaxes.
@@ -69,9 +70,10 @@ def _grid_arcs(tess: Tessellation, weights: WeightMap) -> Tuple[np.ndarray, np.n
     padded = np.full((tess.rows + 3, tess.cols + 6), -1)
     padded[1:-1, 2:-2] = tess.corner_grid
     heads = padded[cj[:, None] + _STEPS[:, 1] + 1, ci[:, None] + _STEPS[:, 0] + 2]
-    cells = np.stack((cj, ci), axis=1)[:, None, None, :] + _STEP_CELLS
-    w = _effective_array(weights, cells.reshape(-1, 2)).reshape(len(ci), 6, 2)
-    costs = 2.0 * w.min(axis=2)
+    cells = _flat_cells(
+        tess.cols, cj[:, None, None] + _STEP_CELLS[..., 0], ci[:, None, None] + _STEP_CELLS[..., 1]
+    )
+    costs = 2.0 * _padded_weights(weights)[cells].min(axis=2)
     off = heads < 0
     heads[off] = np.nonzero(off)[0]
     return heads, costs

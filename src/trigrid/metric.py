@@ -100,6 +100,7 @@ class _Walk(NamedTuple):
 
     Collinear pieces carry both incident cells; interior pieces carry their
     cell twice, so pricing takes the min over (cells_a, cells_b) uniformly.
+    A mirrored walk shares its lengths array with the walk it mirrors.
     """
 
     lengths: np.ndarray
@@ -116,30 +117,42 @@ _WALKS: Dict[Tuple[int, int], _Walk] = {}
 
 
 def _origin_walk(dj: int, di: int) -> _Walk:
-    """The library's walk to displacement (dj, di), walked on first use."""
+    """The library's walk to displacement (dj, di), made on first use.
+
+    Only walks with di >= 0 are traced. The lattice is symmetric under the
+    mirror x -> -x, which maps corner (i, j) to (-i, j) and cell (row, col)
+    to (row, -col - 2), so the walk to (dj, -di) is the walk to (dj, di)
+    with its cells mirrored: the same lengths, in the same order.
+    """
     walk = _WALKS.get((dj, di))
     if walk is None:
-        lengths: List[float] = []
-        cells_a: List[Cell] = []
-        cells_b: List[Cell] = []
-        for rec in segment_walk((0.0, 0.0), corner_position((di, dj))):
-            if rec.kind == EDGE_COLLINEAR:
-                ca, cb = edge_cells(rec.edge)
-            else:
-                ca = cb = rec.cell
-            lengths.append(math.dist(rec.entry, rec.exit))
-            cells_a.append(ca)
-            cells_b.append(cb)
-        walk = _WALKS[(dj, di)] = _Walk(
-            np.array(lengths),
-            np.array(cells_a, dtype=np.int32).reshape(-1, 2),
-            np.array(cells_b, dtype=np.int32).reshape(-1, 2),
-        )
+        if di < 0:
+            twin = _origin_walk(dj, -di)
+            sign, offset = np.array([1, -1], dtype=np.int32), np.array([0, -2], dtype=np.int32)
+            walk = _Walk(twin.lengths, sign * twin.cells_a + offset, sign * twin.cells_b + offset)
+        else:
+            lengths: List[float] = []
+            cells_a: List[Cell] = []
+            cells_b: List[Cell] = []
+            for rec in segment_walk((0.0, 0.0), corner_position((di, dj))):
+                if rec.kind == EDGE_COLLINEAR:
+                    ca, cb = edge_cells(rec.edge)
+                else:
+                    ca = cb = rec.cell
+                lengths.append(math.dist(rec.entry, rec.exit))
+                cells_a.append(ca)
+                cells_b.append(cb)
+            walk = _Walk(
+                np.array(lengths),
+                np.array(cells_a, dtype=np.int32).reshape(-1, 2),
+                np.array(cells_b, dtype=np.int32).reshape(-1, 2),
+            )
+        _WALKS[(dj, di)] = walk
     return walk
 
 
-# Largest hop table built, in walk pieces of 28 bytes: 24x24 needs about
-# 0.87 M pieces (25 MB), 32x32 3.6 M and 48x48 26 M.
+# Largest hop table built, in walk pieces of 20 bytes: 24x24 needs about
+# 0.87 M pieces (17 MB), 32x32 3.6 M and 48x48 26 M.
 MAX_HOP_PIECES = 2_000_000
 
 
@@ -169,6 +182,27 @@ def _check_table_budget(tess: Tessellation) -> None:
                 )
 
 
+# Pricing reads cells from one copy of the weight grid inside a border of
+# infinite weight, raveled. Walks between window corners name rows -1..rows
+# and columns -1..cols, and the six lattice steps of a window corner rows
+# -1..rows and columns -2..cols + 1, so this border holds every cell either
+# names, and a cell outside the window reads infinity with no bounds test.
+_PAD_ROWS, _PAD_COLS = 1, 2
+
+
+def _padded_weights(weights: WeightMap) -> np.ndarray:
+    """The raveled weight grid inside its infinite border; see _flat_cells."""
+    rows, cols = weights.rows, weights.cols
+    grid = np.full((rows + 2 * _PAD_ROWS, cols + 2 * _PAD_COLS), np.inf)
+    grid[_PAD_ROWS : _PAD_ROWS + rows, _PAD_COLS : _PAD_COLS + cols] = weights.values
+    return grid.ravel()
+
+
+def _flat_cells(cols: int, row, col):
+    """Index of cell (row, col) in the padded grid of a window cols wide."""
+    return (row + _PAD_ROWS) * (cols + 2 * _PAD_COLS) + (col + _PAD_COLS)
+
+
 class CornerHopTable:
     """Flattened walk pieces for every pair of window corners.
 
@@ -177,9 +211,10 @@ class CornerHopTable:
     couple of vectorized array operations. Pairs (a, b) with a before b in
     corner order have b - a in canonical form (dj > 0, or dj == 0 and
     di > 0), so each pair's pieces are gathered from the shared origin walk
-    of its displacement and shifted onto a. Piece arrays are int32 where
-    they index, 28 bytes per piece with the float lengths. A window over
-    MAX_HOP_PIECES pieces is refused.
+    of its displacement and shifted onto a. A piece holds its length, its
+    pair and both of its cells as int32 indices into the padded weight grid
+    (_padded_weights): 20 bytes. A window over MAX_HOP_PIECES pieces is
+    refused.
     """
 
     def __init__(self, tess: Tessellation):
@@ -197,29 +232,36 @@ class CornerHopTable:
         walks = [_origin_walk(int(dj[k]), int(di[k])) for k in first]
         counts = np.array([len(w.lengths) for w in walks], dtype=np.int64)
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        cells_a = np.concatenate([w.cells_a for w in walks])
+        cells_b = np.concatenate([w.cells_b for w in walks])
+        _check_padding(tess, dj[first], di[first], starts, cells_a, cells_b)
 
         per_pair = counts[inverse]
         pair_idx = np.repeat(np.arange(len(ai), dtype=np.int32), per_pair)
         # a pair's pieces are its walk's pieces in order, so each pair's block
         # of the table maps onto its walk's block of the concatenated walks
         offset = starts[inverse] - (np.cumsum(per_pair) - per_pair)
-        src = np.arange(len(pair_idx)) + offset[pair_idx]
-        shift = np.stack((cj, ci), axis=1).astype(np.int32)[ai[pair_idx]]
+        src = np.repeat(offset.astype(np.int32), per_pair)
+        src += np.arange(len(src), dtype=np.int32)
+        # a cell's index is its origin walk's index plus its pair's first corner's
+        width = self.cols + 2 * _PAD_COLS
+        shift = np.repeat(_flat_cells(self.cols, cj[ai], ci[ai]).astype(np.int32), per_pair)
 
         self.n_corners = n
         self.pairs = np.stack((ai, bi), axis=1).astype(np.int32)
         self.pair_idx = pair_idx
         self.lengths = np.concatenate([w.lengths for w in walks])[src]
-        self.cells_a = np.concatenate([w.cells_a for w in walks])[src] + shift
-        self.cells_b = np.concatenate([w.cells_b for w in walks])[src] + shift
+        self.flat_a = (cells_a[:, 0] * width + cells_a[:, 1])[src]
+        self.flat_a += shift
+        self.flat_b = (cells_b[:, 0] * width + cells_b[:, 1])[src]
+        self.flat_b += shift
 
     def cost_matrix(self, weights: WeightMap) -> np.ndarray:
         """Dense symmetric matrix of straight-hop costs between all corners."""
         if (weights.rows, weights.cols) != (self.rows, self.cols):
             raise ValueError("weight map shape does not match the table")
-        wa = _effective_array(weights, self.cells_a)
-        wb = _effective_array(weights, self.cells_b)
-        contrib = np.minimum(wa, wb) * self.lengths
+        padded = _padded_weights(weights)
+        contrib = np.minimum(padded[self.flat_a], padded[self.flat_b]) * self.lengths
         per_pair = np.bincount(self.pair_idx, weights=contrib, minlength=len(self.pairs))
         m = np.zeros((self.n_corners, self.n_corners))
         ai, bi = self.pairs[:, 0], self.pairs[:, 1]
@@ -228,13 +270,26 @@ class CornerHopTable:
         return m
 
 
-def _effective_array(weights: WeightMap, cells: np.ndarray) -> np.ndarray:
-    rows, cols = cells[:, 0], cells[:, 1]
-    inside = (rows >= 0) & (rows < weights.rows) & (cols >= 0) & (cols < weights.cols)
-    out = np.full(len(cells), np.inf)
-    vals = weights.values[np.clip(rows, 0, weights.rows - 1), np.clip(cols, 0, weights.cols - 1)]
-    out[inside] = vals[inside]
-    return out
+def _check_padding(tess, dj, di, starts, cells_a, cells_b) -> None:
+    """Refuse walks whose shifted cells could leave the padded weight grid.
+
+    A cell outside it would get the flat index of another cell. Each walk's
+    cell range is shifted by the range of first corners a pair with its
+    displacement can have: rows 0..rows - dj, columns max(0, -di)..cols + 1
+    - max(0, di).
+    """
+    lo = np.minimum.reduceat(np.minimum(cells_a, cells_b), starts)
+    hi = np.maximum.reduceat(np.maximum(cells_a, cells_b), starts)
+    first_row, last_row = lo[:, 0], hi[:, 0] + tess.rows - dj
+    first_col = lo[:, 1] + np.maximum(0, -di)
+    last_col = hi[:, 1] + tess.cols + 1 - np.maximum(0, di)
+    if (
+        first_row.min() < -_PAD_ROWS
+        or last_row.max() >= tess.rows + _PAD_ROWS
+        or first_col.min() < -_PAD_COLS
+        or last_col.max() >= tess.cols + _PAD_COLS
+    ):
+        raise RuntimeError(f"a {tess.rows}x{tess.cols} hop walk leaves the padded weight grid")
 
 
 # Tables kept per window shape, least recently used first. A table holds

@@ -155,6 +155,30 @@ class TestVerify:
         assert "differs from vertex path" in out
         assert "oracle: 3 trials, 3 violations" in out
 
+    def test_oracle_trial_prices_the_hop_matrix_and_builds_the_support_once(self, monkeypatch):
+        # levels 0-3 share one solve context; SVP stays an independent check
+        from collections import Counter
+
+        from trigrid import cli, metric, oracle
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            metric.CornerHopTable,
+            "cost_matrix",
+            counting("cost_matrix", metric.CornerHopTable.cost_matrix),
+        )
+        monkeypatch.setattr(oracle, "_steiner_support", counting("support", oracle._steiner_support))
+        assert cli._check_oracle(cli._trial_instance(1, 1), 1) == []
+        assert calls == {"cost_matrix": 2, "support": 1}
+
     def test_jobs_do_not_change_output(self, capsys):
         assert main(["verify", "bounds", "--trials", "3", "--seed", "5"]) == 0
         serial = capsys.readouterr().out

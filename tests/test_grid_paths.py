@@ -276,3 +276,20 @@ def test_grid_arcs_reach_window_neighbors_only():
     assert reached((2, 2)) == [(1, 1), (3, 1), (0, 2), (4, 2), (1, 3), (3, 3)]
     # unit weights price every edge at 2; steps off the window never relax
     assert np.array_equal(costs == 2.0, heads != np.arange(len(heads))[:, None])
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (5, 6), (24, 24)])
+def test_grid_arcs_price_every_step_by_the_min_rule(rows, cols):
+    rng = np.random.default_rng(rows * 100 + cols)
+    vals = rng.uniform(0.1, 10.0, size=(rows, cols))
+    vals[rng.random((rows, cols)) < 0.2] = INF
+    w = WeightMap(vals)
+    tess = Tessellation(rows, cols)
+    heads, costs = _grid_arcs(tess, w)
+    for u, corner in enumerate(tess.corners):
+        for k, step in enumerate(adjacent_corners(corner)):
+            if tess.valid_corner(step):
+                assert tess.corners[heads[u, k]] == step
+                assert costs[u, k] == grid_edge_cost(w, corner, step)
+            else:
+                assert heads[u, k] == u and costs[u, k] == INF

@@ -16,7 +16,14 @@ from trigrid.metric import (
     grid_edge_cost,
     segment_cost,
 )
-from trigrid.tessellation import SQRT3, Tessellation, corner_position, segment_walk
+from trigrid.tessellation import (
+    EDGE_COLLINEAR,
+    SQRT3,
+    Tessellation,
+    corner_position,
+    edge_cells,
+    segment_walk,
+)
 
 INF = math.inf
 
@@ -143,7 +150,6 @@ def test_hop_table_cache_evicts_least_recently_used(monkeypatch):
 
 
 def test_hop_tables_share_walks_across_shapes(monkeypatch):
-    CornerHopTable(Tessellation(12, 12))
     calls = []
 
     def counting_walk(p, q):
@@ -151,17 +157,82 @@ def test_hop_tables_share_walks_across_shapes(monkeypatch):
         return segment_walk(p, q)
 
     monkeypatch.setattr(metric, "segment_walk", counting_walk)
+    # a fresh library traces each walk with di >= 0 once and mirrors the rest
+    monkeypatch.setattr(metric, "_WALKS", {})
+    CornerHopTable(Tessellation(12, 12))
+    assert all(q[0] >= 0.0 for _, q in calls)
+    assert len(calls) == len(set(calls)) == sum(di >= 0 for _, di in metric._WALKS)
+    assert any(di < 0 for _, di in metric._WALKS)
+    calls.clear()
     for rows, cols in ((12, 11), (7, 12), (12, 12)):
         CornerHopTable(Tessellation(rows, cols))
     assert calls == []
 
 
-def test_hop_table_keeps_28_bytes_per_piece():
+def traced_walk(dj, di):
+    """Lengths and per-piece cell pairs of the walk from the origin to (di, dj)."""
+    lengths, pairs = [], []
+    for rec in segment_walk((0.0, 0.0), corner_position((di, dj))):
+        lengths.append(math.dist(rec.entry, rec.exit))
+        pairs.append(
+            frozenset(edge_cells(rec.edge)) if rec.kind == EDGE_COLLINEAR else frozenset([rec.cell])
+        )
+    return np.array(lengths), pairs
+
+
+def test_mirrored_walks_equal_traced_walks():
+    # every displacement with di < 0 of a 24x24 window
+    for dj in range(25):
+        for di in range(-25, 0):
+            if (di + dj) % 2:
+                continue
+            walk = metric._origin_walk(dj, di)
+            lengths, pairs = traced_walk(dj, di)
+            assert walk.lengths.tobytes() == lengths.tobytes()
+            cells = zip(walk.cells_a.tolist(), walk.cells_b.tolist())
+            assert [frozenset(map(tuple, ab)) for ab in cells] == pairs
+
+
+PADDING_SHAPES = [(r, c) for r in range(1, 17) for c in range(1, 17) if r * c <= 120] + [(24, 24)]
+
+
+def test_hop_table_cells_index_the_padded_grid():
+    for rows, cols in PADDING_SHAPES:
+        tess = Tessellation(rows, cols)
+        table = CornerHopTable(tess)
+        width, height = cols + 2 * metric._PAD_COLS, rows + 2 * metric._PAD_ROWS
+        flat = np.concatenate((table.flat_a, table.flat_b))
+        assert flat.min() >= 0 and flat.max() < width * height
+        # each pair's pieces decode to its walk's cells shifted onto its first corner
+        ci, cj = tess.corner_array.T
+        a, b = table.pairs.T.astype(np.int64)
+        dj, di = cj[b] - cj[a], ci[b] - ci[a]
+        start = np.searchsorted(table.pair_idx, np.arange(len(a)))
+        for d in set(zip(dj.tolist(), di.tolist())):
+            walk = metric._origin_walk(*d)
+            ks = np.nonzero((dj == d[0]) & (di == d[1]))[0]
+            pieces = start[ks, None] + np.arange(len(walk.lengths))
+            shift = np.stack((cj[a[ks]], ci[a[ks]]), axis=1)[:, None, :]
+            for flat, cells in ((table.flat_a, walk.cells_a), (table.flat_b, walk.cells_b)):
+                row, col = np.divmod(flat[pieces], width)
+                want = cells + shift
+                assert np.array_equal(row - metric._PAD_ROWS, want[..., 0])
+                assert np.array_equal(col - metric._PAD_COLS, want[..., 1])
+
+
+@pytest.mark.parametrize("pad", ["_PAD_ROWS", "_PAD_COLS"])
+def test_hop_table_refuses_cells_outside_the_padding(pad, monkeypatch):
+    monkeypatch.setattr(metric, pad, 0)
+    with pytest.raises(RuntimeError, match="padded weight grid"):
+        CornerHopTable(Tessellation(3, 4))
+
+
+def test_hop_table_keeps_20_bytes_per_piece():
     table = CornerHopTable(Tessellation(12, 12))
     pieces = len(table.lengths)
-    assert len(table.pair_idx) == len(table.cells_a) == len(table.cells_b) == pieces
-    arrays = (table.lengths, table.pair_idx, table.cells_a, table.cells_b)
-    assert sum(a.nbytes for a in arrays) == 28 * pieces
+    assert len(table.pair_idx) == len(table.flat_a) == len(table.flat_b) == pieces
+    arrays = (table.lengths, table.pair_idx, table.flat_a, table.flat_b)
+    assert sum(a.nbytes for a in arrays) == 20 * pieces
 
 
 def test_hop_table_budget_refuses_big_windows_before_building():
