@@ -66,6 +66,7 @@ def _grid_arcs(tess: Tessellation, weights: WeightMap) -> Tuple[np.ndarray, np.n
     relaxes.
     """
     ci, cj = tess.corner_array.T
+    # corners fill corner_grid at even i + j (Tessellation.valid_corner), and
     # steps move j by at most 1 and i by at most 2, so this margin reads -1
     padded = np.full((tess.rows + 3, tess.cols + 6), -1)
     padded[1:-1, 2:-2] = tess.corner_grid

@@ -59,8 +59,7 @@ class Instance:
             raise ValueError("weight grid does not match the window")
         for name in ("source", "target"):
             corner = getattr(self, name)
-            i, j = corner
-            if (i + j) % 2 or not self.tessellation.valid_corner(corner):
+            if not self.tessellation.valid_corner(corner):
                 raise ValueError(f"{name} is not a corner of the window: {corner!r}")
 
 

@@ -162,9 +162,9 @@ def _check_table_budget(tess: Tessellation) -> None:
     The pieces are counted per corner displacement, and counting stops at
     the budget, so nothing of the table's size is allocated or walked. The
     window's corners are the (i, j) with i + j even in a grid of rows + 1
-    by cols + 2, so of the nj x ni grid points a displacement can start
-    from, with the first in column i0, every other one is a corner, the
-    first one when i0 is even.
+    by cols + 2 (Tessellation.valid_corner), so of the nj x ni grid points
+    a displacement can start from, with the first in column i0, every
+    other one is a corner, the first one when i0 is even.
     """
     n_j, n_i = tess.rows + 1, tess.cols + 2
     pieces = 0
@@ -276,7 +276,8 @@ def _check_padding(tess, dj, di, starts, cells_a, cells_b) -> None:
     A cell outside it would get the flat index of another cell. Each walk's
     cell range is shifted by the range of first corners a pair with its
     displacement can have: rows 0..rows - dj, columns max(0, -di)..cols + 1
-    - max(0, di).
+    - max(0, di), since the corners fill the grid 0 <= j <= rows,
+    0 <= i <= cols + 1 at even i + j (Tessellation.valid_corner).
     """
     lo = np.minimum.reduceat(np.minimum(cells_a, cells_b), starts)
     hi = np.maximum.reduceat(np.maximum(cells_a, cells_b), starts)

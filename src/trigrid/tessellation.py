@@ -16,6 +16,10 @@ else the cell. The tolerance is an argument: walks locate points at
 EPS_GEO, and a run along an edge is found from its midpoint at a quarter
 of its length.
 
+segment_walk, the one walker, cuts a segment where it crosses lattice
+lines. One on a line is cut by the other two families, which meet it only
+at its corners, and snaps those events to the corners at 2 * EPS_GEO.
+
 Geometric predicates, locate_point among them, work on the unbounded
 lattice; the Tessellation class adds the rows x cols window of cells that
 may carry weight.
@@ -248,60 +252,45 @@ def _merged_events(ts: List[float], eps_t: float) -> List[float]:
 def segment_walk(p: Point, q: Point) -> List[WalkRecord]:
     """Trace a straight segment through the lattice.
 
-    Returns one record per maximal piece, in traversal order. Event points
-    within EPS_GEO of a corner are snapped to it and pieces shorter than
-    EPS_GEO are dropped, so zero-length pieces never appear. The original
-    endpoints are kept exact.
+    Returns one record per maximal piece, in traversal order. The segment
+    is cut where it crosses lattice lines, but not those of the family of a
+    line it lies within EPS_GEO of: the other two meet that line only at its
+    corners. Inner events snap to a corner within EPS_GEO, or 2 * EPS_GEO on
+    a line, where a crossing may sit 2 / sqrt(3) * EPS_GEO from its corner.
+    Pieces of at most EPS_GEO are dropped and p and q are kept exact. A
+    non-finite endpoint coordinate raises ValueError.
     """
     length = math.dist(p, q)
+    if not math.isfinite(length):
+        raise ValueError(f"segment endpoints must be finite: {p!r}, {q!r}")
     if length <= EPS_GEO:
         return []
     line = _collinear_lattice_line(p, q)
-    if line is not None:
-        return _walk_along_line(p, q, length, line)
-    return _walk_across_cells(p, q, length)
-
-
-def _walk_across_cells(p: Point, q: Point, length: float) -> List[WalkRecord]:
     eps_t = EPS_GEO / length
-    (rp, up, vp), (rq, uq, vq) = _affine(p), _affine(q)
     ts = [0.0, 1.0]
-    for (_, step, _), a, b in zip(_FAMILIES, (rp, up, vp), (rq, uq, vq)):
-        ts.extend(_line_crossings(a, b, step, eps_t))
+    for (fam, step, _), a, b in zip(_FAMILIES, _affine(p), _affine(q)):
+        if line is None or fam != line[0]:
+            ts.extend(_line_crossings(a, b, step, eps_t))
+    snap = EPS_GEO if line is None else 2.0 * EPS_GEO
     records = []
-    for entry, exit_, mid in _pieces(p, q, _merged_events(ts, eps_t)):
-        records.append(WalkRecord(_cell_at(*_affine(mid)), entry, exit_, INTERIOR_CROSSING))
+    for entry, exit_, mid in _pieces(p, q, _merged_events(ts, eps_t), snap):
+        if line is None:
+            records.append(WalkRecord(_cell_at(*_affine(mid)), entry, exit_, INTERIOR_CROSSING))
+        else:
+            edge = _edge_on_line(*line, mid)
+            records.append(WalkRecord(edge_cells(edge)[0], entry, exit_, EDGE_COLLINEAR, edge))
     return records
 
 
-def _walk_along_line(
-    p: Point, q: Point, length: float, line: Tuple[str, int]
-) -> List[WalkRecord]:
-    fam, k = line
-    eps_t = EPS_GEO / length
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    ts = [0.0, 1.0]
-    for corner in _corners_on_line(fam, k, p, q):
-        cx, cy = corner_position(corner)
-        t = ((cx - p[0]) * dx + (cy - p[1]) * dy) / (length * length)
-        if -eps_t < t < 1.0 + eps_t:
-            ts.append(min(1.0, max(0.0, t)))
-    records = []
-    for entry, exit_, mid in _pieces(p, q, _merged_events(ts, eps_t)):
-        edge = _edge_on_line(fam, k, mid)
-        records.append(WalkRecord(edge_cells(edge)[0], entry, exit_, EDGE_COLLINEAR, edge))
-    return records
-
-
-def _pieces(p: Point, q: Point, events: List[float]):
+def _pieces(p: Point, q: Point, events: List[float], snap: float):
     """(entry, exit, midpoint) of each piece between events longer than EPS_GEO.
 
-    Inner event points within EPS_GEO of a corner snap to it; p and q stay exact.
+    Inner event points within snap of a corner snap to it; p and q stay exact.
     """
     points = [p]
     for t in events[1:-1]:
         point = _lerp(p, q, t)
-        kind, where = locate_point(point, EPS_GEO)
+        kind, where = locate_point(point, snap)
         points.append(corner_position(where) if kind == "corner" else point)
     points.append(q)
     return [
@@ -309,18 +298,6 @@ def _pieces(p: Point, q: Point, events: List[float]):
         for a, b in zip(points, points[1:])
         if math.dist(a, b) > EPS_GEO
     ]
-
-
-def _corners_on_line(fam: str, k: int, p: Point, q: Point) -> List[Corner]:
-    if fam == "rho":
-        lo = math.floor(min(p[0], q[0])) - 1
-        hi = math.ceil(max(p[0], q[0])) + 1
-        return [(i, k) for i in range(lo, hi + 1) if (i + k) % 2 == 0]
-    lo = math.floor(min(p[1], q[1]) / SQRT3) - 1
-    hi = math.ceil(max(p[1], q[1]) / SQRT3) + 1
-    if fam == "u":
-        return [(k + j, j) for j in range(lo, hi + 1)]
-    return [(k - j, j) for j in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)
@@ -345,11 +322,14 @@ class Tessellation:
         return 0 <= row < self.rows and 0 <= col < self.cols
 
     def valid_corner(self, corner: Corner) -> bool:
-        """True when the corner touches at least one in-window cell."""
+        """True when the corner touches at least one in-window cell.
+
+        Corner (i, j) touches the cells of rows j - 1 and j and columns
+        i - 2 to i, so the window's corners are the (i, j) with i + j even
+        in the (rows + 1) x (cols + 2) grid 0 <= j <= rows, 0 <= i <= cols + 1.
+        """
         i, j = corner
-        if (i + j) % 2:
-            return False
-        return any(self.in_domain(c) for c in corner_cells(corner))
+        return (i + j) % 2 == 0 and 0 <= j <= self.rows and 0 <= i <= self.cols + 1
 
     @cached_property
     def cells(self) -> Tuple[Cell, ...]:
@@ -359,12 +339,9 @@ class Tessellation:
 
     @cached_property
     def corners(self) -> Tuple[Corner, ...]:
-        """All corners of in-window cells, sorted by (j, i)."""
+        """All corners of in-window cells, sorted by (j, i); see valid_corner."""
         return tuple(
-            (i, j)
-            for j in range(self.rows + 1)
-            for i in range(self.cols + 2)
-            if (i + j) % 2 == 0 and self.valid_corner((i, j))
+            (i, j) for j in range(self.rows + 1) for i in range(j % 2, self.cols + 2, 2)
         )
 
     @cached_property

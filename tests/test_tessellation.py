@@ -1,8 +1,10 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from trigrid.analysis import walk_polyline
+from trigrid.metric import WeightMap, segment_cost
 from trigrid.tessellation import (
     CORNER_STEPS_CCW,
     EDGE_COLLINEAR,
@@ -10,6 +12,7 @@ from trigrid.tessellation import (
     INTERIOR_CROSSING,
     SQRT3,
     Tessellation,
+    WalkRecord,
     adjacent_corners,
     are_adjacent,
     cell_edges,
@@ -21,6 +24,10 @@ from trigrid.tessellation import (
     is_upward,
     locate_point,
     segment_walk,
+    _collinear_lattice_line,
+    _edge_on_line,
+    _merged_events,
+    _pieces,
 )
 
 # locate_point takes any tolerance; the references check it at EPS_GEO and
@@ -192,6 +199,131 @@ def test_walk_pieces_lie_in_their_cell(p, q):
             assert r.cell == edge_cells(r.edge)[0]
 
 
+_BAD = (math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("bad", _BAD)
+@pytest.mark.parametrize("coord", range(4))
+@pytest.mark.parametrize(
+    "p, q", [((0.0, 0.0), (4.0, 0.0)), ((0.5, 0.3), (3.7, 1.1))], ids=["on-line", "off-line"]
+)
+def test_walk_refuses_non_finite_endpoints(p, q, coord, bad):
+    # unchecked, an infinite coordinate makes the crossing count run forever
+    xs = [*p, *q]
+    xs[coord] = bad
+    p, q = tuple(xs[:2]), tuple(xs[2:])
+    weights = WeightMap([[1.0, 1.0], [1.0, 1.0]])
+    for call in (
+        lambda: segment_walk(p, q),
+        lambda: segment_cost(weights, p, q),
+        lambda: walk_polyline([p, q]),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+# -- reference: a walk along a line from its corners' projections ---------------
+
+
+def _ref_corners_on_line(fam, k, p, q):
+    if fam == "rho":
+        lo = math.floor(min(p[0], q[0])) - 1
+        hi = math.ceil(max(p[0], q[0])) + 1
+        return [(i, k) for i in range(lo, hi + 1) if (i + k) % 2 == 0]
+    lo = math.floor(min(p[1], q[1]) / SQRT3) - 1
+    hi = math.ceil(max(p[1], q[1]) / SQRT3) + 1
+    if fam == "u":
+        return [(k + j, j) for j in range(lo, hi + 1)]
+    return [(k - j, j) for j in range(lo, hi + 1)]
+
+
+def _ref_walk_along_line(p, q):
+    """Walk a segment on a lattice line by projecting the line's corners onto it.
+
+    None when a corner sits too near EPS_GEO from its projection to call
+    whether the projection snaps to it.
+    """
+    length = math.dist(p, q)
+    fam, k = _collinear_lattice_line(p, q)
+    eps_t = EPS_GEO / length
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    ts = [0.0, 1.0]
+    for corner in _ref_corners_on_line(fam, k, p, q):
+        cx, cy = corner_position(corner)
+        t = ((cx - p[0]) * dx + (cy - p[1]) * dy) / (length * length)
+        if -eps_t < t < 1.0 + eps_t:
+            ts.append(min(1.0, max(0.0, t)))
+            if abs(math.dist((p[0] + t * dx, p[1] + t * dy), (cx, cy)) - EPS_GEO) <= 1e-13:
+                return None
+    records = []
+    for entry, exit_, mid in _pieces(p, q, _merged_events(ts, eps_t), EPS_GEO):
+        edge = _edge_on_line(fam, k, mid)
+        records.append(WalkRecord(edge_cells(edge)[0], entry, exit_, EDGE_COLLINEAR, edge))
+    return records
+
+
+_LINE_STEPS = CORNER_STEPS_CCW[:3]
+
+
+def _on_line(corner, step, f, off=0.0):
+    """The point f edges along the line from corner in direction step, off it by off."""
+    (i, j), (di, dj) = corner, step
+    # unit normal of the line, whose direction is (di, dj * sqrt(3)) / 2
+    nx, ny = -dj * SQRT3 / 2.0, di / 2.0
+    return (i + f * di + off * nx, (j + f * dj) * SQRT3 + off * ny)
+
+
+_line_corners = st.builds(
+    lambda i, j: (i + (i + j) % 2, j), st.integers(-6, 6), st.integers(-4, 4)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _line_corners,
+    st.sampled_from(_LINE_STEPS),
+    st.integers(1, 7).flatmap(
+        lambda level: st.tuples(
+            st.just(2 ** level),
+            st.integers(-3 * 2 ** level, 3 * 2 ** level),
+            st.integers(-3 * 2 ** level, 3 * 2 ** level),
+        )
+    ),
+)
+def test_walk_along_dyadic_line_segments_matches_corner_projection(corner, step, dyadic):
+    n, a, b = dyadic
+    assume(a != b)
+    p, q = _on_line(corner, step, a / n), _on_line(corner, step, b / n)
+    assert segment_walk(p, q) == _ref_walk_along_line(p, q)
+
+
+_line_offsets = st.one_of(
+    st.floats(-EPS_GEO, EPS_GEO),
+    st.floats(0.87 * EPS_GEO, EPS_GEO),
+    st.floats(-EPS_GEO, -0.87 * EPS_GEO),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _line_corners,
+    st.sampled_from(_LINE_STEPS),
+    st.one_of(st.floats(-3.0, 3.0), st.integers(-24, 24).map(lambda m: m / 8.0)),
+    st.one_of(st.floats(-3.0, 3.0), st.integers(-24, 24).map(lambda m: m / 8.0)),
+    _line_offsets,
+    _line_offsets,
+)
+# both ends 0.95 EPS_GEO above a horizontal line: the diagonal lines cross
+# it 1.1 EPS_GEO from each corner
+@example((0, 0), (2, 0), -1.5, 2.5, 0.95 * EPS_GEO, 0.95 * EPS_GEO)
+def test_walk_near_a_line_matches_corner_projection(corner, step, fp, fq, off_p, off_q):
+    p, q = _on_line(corner, step, fp, off_p), _on_line(corner, step, fq, off_q)
+    assume(math.dist(p, q) > EPS_GEO and _collinear_lattice_line(p, q) is not None)
+    want = _ref_walk_along_line(p, q)
+    if want is not None:
+        assert segment_walk(p, q) == want
+
+
 def _point_in_triangle(p, verts, tol=1e-7):
     # clockwise vertex order, so inside means every cross product <= tol
     for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
@@ -223,6 +355,26 @@ def test_tessellation_corners_cover_window():
     assert not tess.valid_corner((8, 0))
     assert not tess.valid_corner((1, 0))
     assert tess.corner_ids[(0, 0)] == 0
+
+
+def test_window_corners_are_the_corners_of_window_cells():
+    for rows in range(1, 25):
+        for cols in range(1, 25):
+            tess = Tessellation(rows, cols)
+            touching = [
+                (i, j)
+                for j in range(-4, rows + 5)
+                for i in range(-4, cols + 6)
+                if (i + j) % 2 == 0 and any(tess.in_domain(c) for c in corner_cells((i, j)))
+            ]
+            assert tess.corners == tuple(touching)
+            got = [
+                (i, j)
+                for j in range(-4, rows + 5)
+                for i in range(-4, cols + 6)
+                if tess.valid_corner((i, j))
+            ]
+            assert got == touching
 
 
 def test_locate_point_priorities():
