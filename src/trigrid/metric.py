@@ -7,9 +7,9 @@ pieces running along a lattice edge cost the cheaper of the two incident
 cells. Cells outside the window count as infinitely heavy.
 """
 
+import functools
 import math
-from collections import OrderedDict
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,47 +108,29 @@ class _Walk(NamedTuple):
     cells_b: np.ndarray
 
 
-# Walks keyed by corner displacement (dj, di). A walk between lattice corners
-# depends only on their difference: the walk from a to a + d is the walk from
-# the origin to d with every cell shifted by (a_j, a_i). Entries are pure
-# geometry, shared by every window shape, and the set grows only with the
-# largest window extent in use.
-_WALKS: Dict[Tuple[int, int], _Walk] = {}
-
-
+# A walk between lattice corners depends only on their difference: the walk
+# from a to a + d is the walk from the origin to d with every cell shifted by
+# (a_j, a_i). So one cache of origin walks, keyed by (dj, di), serves every
+# window shape and grows only with the largest window extent in use.
+@functools.cache
 def _origin_walk(dj: int, di: int) -> _Walk:
-    """The library's walk to displacement (dj, di), made on first use.
+    """The walk from the origin corner to displacement (dj, di).
 
     Only walks with di >= 0 are traced. The lattice is symmetric under the
     mirror x -> -x, which maps corner (i, j) to (-i, j) and cell (row, col)
     to (row, -col - 2), so the walk to (dj, -di) is the walk to (dj, di)
     with its cells mirrored: the same lengths, in the same order.
     """
-    walk = _WALKS.get((dj, di))
-    if walk is None:
-        if di < 0:
-            twin = _origin_walk(dj, -di)
-            sign, offset = np.array([1, -1], dtype=np.int32), np.array([0, -2], dtype=np.int32)
-            walk = _Walk(twin.lengths, sign * twin.cells_a + offset, sign * twin.cells_b + offset)
-        else:
-            lengths: List[float] = []
-            cells_a: List[Cell] = []
-            cells_b: List[Cell] = []
-            for rec in segment_walk((0.0, 0.0), corner_position((di, dj))):
-                if rec.kind == EDGE_COLLINEAR:
-                    ca, cb = edge_cells(rec.edge)
-                else:
-                    ca = cb = rec.cell
-                lengths.append(math.dist(rec.entry, rec.exit))
-                cells_a.append(ca)
-                cells_b.append(cb)
-            walk = _Walk(
-                np.array(lengths),
-                np.array(cells_a, dtype=np.int32).reshape(-1, 2),
-                np.array(cells_b, dtype=np.int32).reshape(-1, 2),
-            )
-        _WALKS[(dj, di)] = walk
-    return walk
+    if di < 0:
+        twin = _origin_walk(dj, -di)
+        sign, offset = np.array([1, -1], dtype=np.int32), np.array([0, -2], dtype=np.int32)
+        return _Walk(twin.lengths, sign * twin.cells_a + offset, sign * twin.cells_b + offset)
+    lengths, cells = [], []
+    for rec in segment_walk((0.0, 0.0), corner_position((di, dj))):
+        lengths.append(math.dist(rec.entry, rec.exit))
+        cells.append(edge_cells(rec.edge) if rec.kind == EDGE_COLLINEAR else (rec.cell, rec.cell))
+    pairs = np.array(cells, dtype=np.int32).reshape(-1, 2, 2)
+    return _Walk(np.array(lengths), pairs[:, 0], pairs[:, 1])
 
 
 # Largest hop table built, in walk pieces of 20 bytes: 24x24 needs about
@@ -295,19 +277,11 @@ def _check_padding(tess, dj, di, starts, cells_a, cells_b) -> None:
 
 # Tables kept per window shape, least recently used first. A table holds
 # every pair's pieces, O(n_corners^2 * walk length) memory, so only a few stay
-# resident; rebuilding an evicted one costs gathers from the walk library.
+# resident; rebuilding an evicted one costs gathers from the walk cache.
 HOP_TABLE_CACHE_SIZE = 8
-_HOP_TABLES: "OrderedDict[Tuple[int, int], CornerHopTable]" = OrderedDict()
 
 
+@functools.lru_cache(maxsize=HOP_TABLE_CACHE_SIZE)
 def corner_hop_table(tess: Tessellation) -> CornerHopTable:
     """Shared per-shape table; window shape fully determines the geometry."""
-    key = (tess.rows, tess.cols)
-    table = _HOP_TABLES.get(key)
-    if table is None:
-        table = _HOP_TABLES[key] = CornerHopTable(tess)
-        if len(_HOP_TABLES) > HOP_TABLE_CACHE_SIZE:
-            _HOP_TABLES.popitem(last=False)
-    else:
-        _HOP_TABLES.move_to_end(key)
-    return table
+    return CornerHopTable(tess)

@@ -33,15 +33,24 @@ round apart; which of the two is reported then depends on rounding, not on
 node order.
 """
 
+import functools
 import logging
 import math
-from typing import Dict, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from .grid_paths import UnreachableError, _check_endpoints, _frontier_search, _hop_search
 from .metric import WeightMap, corner_hop_table
-from .tessellation import SQRT3, Corner, Point, Tessellation, corner_position
+from .tessellation import (
+    SQRT3,
+    Corner,
+    Point,
+    Tessellation,
+    cell_edges,
+    cell_vertices,
+    corner_position,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -54,13 +63,25 @@ MAX_STEINER_NODES = 2_000_000
 # 25 MB at level 10 and 101 MB at level 11.
 MAX_LEVEL = 10
 
-# vertex m of a cell lies on these slots of cell_edges(cell)
-_VERTEX_EDGE_SLOTS = ((0, 2), (0, 1), (1, 2))
-# The vertex at the first end of each edge slot, in an upward and a downward
-# cell. Corner ids follow (j, i) order, so an upward cell's slot 0 runs from
-# vertex 0 to 1 while its slots 1 and 2 run backwards; a downward cell's
-# slots 0 and 1 run forward and slot 2 backwards.
-_SLOT_FIRST_END = ((0, 2, 0), (0, 1, 0))
+
+def _reference_cell(down: int):
+    """The layout of cell (0, down), of which every cell of its orientation is
+    a translate: its cell_vertices as (di, dj) offsets from its (col, row),
+    and the vertex indices of each cell_edges slot's first and second end."""
+    cell = (0, down)
+    verts = cell_vertices(cell)
+    offsets = [(i - down, j) for i, j in verts]
+    return offsets, [[verts.index(c) for c in edge] for edge in cell_edges(cell)]
+
+
+# [down, vertex] -> (di, dj); [down, slot] -> (first end, second end)
+_VERTEX_OFFSETS, _SLOT_ENDS = map(np.array, zip(_reference_cell(0), _reference_cell(1)))
+
+
+def _slot_members(slot: int, per_edge: int) -> np.ndarray:
+    """Local ids of a slot's two vertices (alike in both orientations), then its nodes."""
+    run = 3 + slot * per_edge
+    return np.r_[_SLOT_ENDS[0, slot], run : run + per_edge]
 
 
 class OracleResult(NamedTuple):
@@ -85,75 +106,53 @@ class _Support(NamedTuple):
     slot_edges: np.ndarray
 
 
-# level -> (distance table, head columns); at most MAX_LEVEL + 1 entries
-_CLIQUE_TABLES: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=MAX_LEVEL + 1)
 def _clique_table(level: int) -> Tuple[np.ndarray, np.ndarray]:
     """The level's exact clique distances and every cell's columns into them.
 
     With P = 2**level, the table has shape (P + 1, 3 * (P + 1)): row k is
     [Q(k, .), Q(P - k, .), |k - .|] * 2**(1 - level), Q(k, j) = sqrt(k*k -
-    k*j + j*j). A node k steps from its edge's first end reads row k: the
-    first block reaches nodes j steps from that end on the cell's other edge
-    through it, the second nodes j steps from the second end, the third the
-    nodes of its own edge and its ends. A corner reads row 0: the third
-    block for its incident edges and the second, Q(P, j), for the opposite
-    edge, whose ends both lie P steps away at 60 degrees.
+    k*j + j*j). A node k steps from its edge's first end reads row k, a
+    corner row 0. Block A reaches nodes j steps from that end on another
+    edge, through it; block B nodes j steps from the second end; block C
+    the nodes of its own edge and its ends.
 
-    The columns have shape (2, 6, 3 + 3 * per_edge), int32, indexed
-    [down, row kind, local member] like _SteinerGraph's weight rows: they
-    are the same for every cell of one orientation. Tables are cached per
-    level; the cache is bounded by MAX_LEVEL, at about 0.5 MB for levels
-    0-7 and 34 MB for levels 0-10.
+    The columns, (2, 6, 3 + 3 * per_edge) int32, are indexed [down, row
+    kind, local member] like _SteinerGraph's weight rows. They are read off
+    steps[v, c], the steps from vertex v to member c along an edge that
+    holds both, -1 where none does. A slot row reads C for the slot's own
+    members, A through its first end where that end has an edge to the
+    member, and B through its second end elsewhere. Vertex v's row reads C
+    where steps[v] >= 0, and elsewhere B from the first end of the opposite
+    edge: Q(P, j) = Q(P, P - j), so either end would do. At most MAX_LEVEL
+    + 1 levels are cached: about 0.5 MB for levels 0-7, 34 MB for 0-10.
     """
-    cached = _CLIQUE_TABLES.get(level)
-    if cached is not None:
-        return cached
     p = 2 ** level
     k, j = np.arange(p + 1)[:, None], np.arange(p + 1)
     q = np.sqrt(k * k - k * j + j * j)
     table = np.concatenate((q, q[::-1], np.abs(k - j)), axis=1) * 2.0 ** (1 - level)
 
-    steps = np.arange(1, p)  # node m of an edge sits m + 1 steps from its first end
-    second, own = p + 1, 2 * (p + 1)  # the offsets of the second and third blocks
+    along = np.arange(1, p)  # node m of an edge sits m + 1 steps from its first end
+    second, own = p + 1, 2 * (p + 1)  # the offsets of blocks B and C
     columns = np.empty((2, 6, 3 + 3 * (p - 1)), dtype=np.int32)
-    for down, first_end in enumerate(_SLOT_FIRST_END):
-
-        def nodes(slot, end):
-            """Column slice of a slot's nodes, and their steps from its vertex end."""
-            run = slice(3 + slot * (p - 1), 3 + (slot + 1) * (p - 1))
-            return run, steps if end == first_end[slot] else p - steps
-
-        for slot in range(3):
-            row = columns[down, slot]
-            first = first_end[slot]
-            last = slot if first != slot else (slot + 1) % 3
-            apex = (slot + 2) % 3
-            row[[first, last, apex]] = own, own + p, p
-            run, at = nodes(slot, first)
-            row[run] = own + at
-            for other in ((slot + 1) % 3, apex):
-                if first in (other, (other + 1) % 3):
-                    run, at = nodes(other, first)
-                    row[run] = at
-                else:
-                    run, at = nodes(other, last)
-                    row[run] = second + at
-        for m in range(3):
-            row = columns[down, 3 + m]
-            row[:3] = own + p
-            row[m] = own
-            for slot in _VERTEX_EDGE_SLOTS[m]:
-                run, at = nodes(slot, m)
-                row[run] = own + at
-            # Q(P, j) = Q(P, P - j): either end of the opposite edge serves
-            run, at = nodes((m + 1) % 3, first_end[(m + 1) % 3])
-            row[run] = second + at
+    for down, slot_ends in enumerate(_SLOT_ENDS):
+        steps = np.full((3, 3 + 3 * (p - 1)), -1)
+        steps[:, :3] = p - p * np.eye(3, dtype=int)  # any two vertices share an edge
+        for slot, (first, last) in enumerate(slot_ends):
+            run = _slot_members(slot, p - 1)[2:]
+            steps[first, run], steps[last, run] = along, p - along
+        for slot, (first, last) in enumerate(slot_ends):
+            row = np.where(steps[first] >= 0, steps[first], second + steps[last])
+            mine = _slot_members(slot, p - 1)
+            row[mine] = own + steps[first, mine]
+            columns[down, slot] = row
+            apex = 3 - first - last  # the vertex whose opposite edge this slot is
+            columns[down, 3 + apex] = np.where(
+                steps[apex] >= 0, own + steps[apex], second + steps[first]
+            )
     table.setflags(write=False)
     columns.setflags(write=False)
-    cached = _CLIQUE_TABLES[level] = (table, columns)
-    return cached
+    return table, columns
 
 
 class _SteinerGraph:
@@ -187,18 +186,15 @@ class _SteinerGraph:
         edge_node_ids = n_corners + slot_edges[:, :, None] * per_edge + np.arange(per_edge)
         cell_ids = np.concatenate((verts, edge_node_ids.reshape(n_cells, 3 * per_edge)), axis=1)
 
-        # edge slot k of a cell holds vertices k and k+1 and its per_edge nodes
-        members = [
-            np.r_[k, (k + 1) % 3, 3 + k * per_edge : 3 + (k + 1) * per_edge] for k in range(3)
-        ]
         # weight row k (0-2) prices the arcs from a node on edge slot k, row
         # 3 + m those from vertex m: a target on an edge that holds the source
         # pays that edge's min-rule weight, any other the cell weight
         weight_rows = np.empty((n_cells, 6, 3 + 3 * per_edge))
         weight_rows[:] = ctx.cell_w[:, None, None]
-        for row, slots in enumerate(((0,), (1,), (2,), *_VERTEX_EDGE_SLOTS)):
-            for k in slots:
-                weight_rows[:, row, members[k]] = ctx.edge_w[:, k, None]
+        for k in range(3):
+            members = _slot_members(k, per_edge)
+            for row in (k, *(3 + members[:2])):  # the slot's row and its vertices' rows
+                weight_rows[:, row, members] = ctx.edge_w[:, k, None]
 
         # relaxation groups: corners 0..n_corners-1, then one per edge. A group
         # keeps each head once: the copies that cells sharing an edge give it
@@ -270,14 +266,10 @@ def _steiner_support(tess: Tessellation, weights: WeightMap, level: int) -> _Sup
         )
     cells = np.argwhere(np.isfinite(weights.values))
     row, col = cells[:, 0], cells[:, 1]
-    down = (row + col) % 2
-    # cell_vertices: upward (col, row), (col+1, row+1), (col+2, row); downward
-    # (col+1, row), (col, row+1), (col+2, row+1)
-    vert_i = np.stack((col + down, col + 1 - down, col + 2), axis=1)
-    vert_j = np.stack((row, row + 1, row + down), axis=1)
-    verts = tess.corner_grid[vert_j, vert_i]
-    # slot k joins vertices k and k+1; corner ids sort like edge_key
-    a, b = verts, np.roll(verts, -1, axis=1)
+    offsets = _VERTEX_OFFSETS[(row + col) % 2]
+    verts = tess.corner_grid[row[:, None] + offsets[..., 1], col[:, None] + offsets[..., 0]]
+    # each slot's two vertices, alike in both orientations; ids sort like edge_key
+    a, b = np.moveaxis(verts[:, _SLOT_ENDS[0]], -1, 0)
     n_corners = len(tess.corners)
     keys = (np.minimum(a, b) * n_corners + np.maximum(a, b)).ravel()
     distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -339,7 +331,7 @@ class _SolveContext:
 
     def refine(self, rel_tol: float) -> Tuple[OracleResult, OracleResult]:
         """refine_until's result, and level 0's, which is SVP's."""
-        if rel_tol <= 0.0:
+        if not rel_tol > 0.0:  # NaN compares false both ways
             raise ValueError("rel_tol must be positive")
         debug = logger.isEnabledFor(logging.DEBUG)
         prev = corner_graph = self.solve(0)

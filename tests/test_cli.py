@@ -122,6 +122,11 @@ class TestRatio:
     def test_unreachable_exits_2(self, blocked, capsys):
         assert main(["ratio", blocked]) == 2
 
+    @pytest.mark.parametrize("rel_tol", ["0", "nan"])
+    def test_non_positive_rel_tol_exits_1(self, strip5, rel_tol, capsys):
+        assert main(["ratio", strip5, "--rel-tol", rel_tol]) == 1
+        assert "rel_tol must be positive" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_bounds_suite_passes(self, capsys):
@@ -226,6 +231,11 @@ class TestVerify:
 
     def test_zero_trials_exits_1(self, capsys):
         assert main(["verify", "bounds", "--trials", "0"]) == 1
+
+    @pytest.mark.parametrize("suite", ["bounds", "polygons"])
+    def test_nan_rel_tol_exits_1(self, suite, capsys):
+        assert main(["verify", suite, "--trials", "1", "--rel-tol", "nan"]) == 1
+        assert "rel_tol must be positive" in capsys.readouterr().err
 
     def test_violations_exit_3(self, capsys, monkeypatch):
         # shrink the bound below 1 so honest reports must trip it

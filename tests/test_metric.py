@@ -1,6 +1,5 @@
 import math
 import time
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -129,24 +128,28 @@ def test_hop_table_cache_shared():
         t1.cost_matrix(weight_map_3x4())
 
 
-def test_hop_table_cache_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(metric, "_HOP_TABLES", OrderedDict())
+def test_hop_table_cache_evicts_least_recently_used():
+    corner_hop_table.cache_clear()
     assert HOP_TABLE_CACHE_SIZE >= 8
     w = WeightMap([[1.5, INF, 0.25]])
     first = corner_hop_table(Tessellation(1, 3))
     before = first.cost_matrix(w)
-    for cols in range(4, 4 + HOP_TABLE_CACHE_SIZE):
-        corner_hop_table(Tessellation(1, cols))
-    assert len(metric._HOP_TABLES) == HOP_TABLE_CACHE_SIZE
-    assert (1, 3) not in metric._HOP_TABLES
+    later = range(4, 4 + HOP_TABLE_CACHE_SIZE)
+    tables = {cols: corner_hop_table(Tessellation(1, cols)) for cols in later}
+    assert corner_hop_table.cache_info().currsize == HOP_TABLE_CACHE_SIZE
+    # the first table was evicted, so this call builds a new one
     rebuilt = corner_hop_table(Tessellation(1, 3))
     assert rebuilt is not first
     assert np.array_equal(rebuilt.cost_matrix(w), before)
     # a hit makes the table most recent, so the next eviction takes another
-    corner_hop_table(Tessellation(1, 5))
+    assert corner_hop_table(Tessellation(1, 5)) is tables[5]
     corner_hop_table(Tessellation(2, 1))
-    assert (1, 5) in metric._HOP_TABLES
-    assert (1, 4) not in metric._HOP_TABLES and (1, 6) not in metric._HOP_TABLES
+    misses = corner_hop_table.cache_info().misses
+    assert corner_hop_table(Tessellation(1, 5)) is tables[5]
+    assert corner_hop_table.cache_info().misses == misses
+    for cols in (4, 6):
+        assert corner_hop_table(Tessellation(1, cols)) is not tables[cols]
+    assert corner_hop_table.cache_info().misses == misses + 2
 
 
 def test_hop_tables_share_walks_across_shapes(monkeypatch):
@@ -157,12 +160,19 @@ def test_hop_tables_share_walks_across_shapes(monkeypatch):
         return segment_walk(p, q)
 
     monkeypatch.setattr(metric, "segment_walk", counting_walk)
-    # a fresh library traces each walk with di >= 0 once and mirrors the rest
-    monkeypatch.setattr(metric, "_WALKS", {})
-    CornerHopTable(Tessellation(12, 12))
+    # a fresh cache traces each walk with di >= 0 once and mirrors the rest
+    metric._origin_walk.cache_clear()
+    tess = Tessellation(12, 12)
+    CornerHopTable(tess)
+    ci, cj = tess.corner_array.T
+    a, b = np.triu_indices(len(ci), k=1)
+    needed = set(zip((cj[b] - cj[a]).tolist(), (ci[b] - ci[a]).tolist()))
+    traced = {(dj, abs(di)) for dj, di in needed}
     assert all(q[0] >= 0.0 for _, q in calls)
-    assert len(calls) == len(set(calls)) == sum(di >= 0 for _, di in metric._WALKS)
-    assert any(di < 0 for _, di in metric._WALKS)
+    assert len(calls) == len(set(calls)) == len(traced)
+    assert {(round(q[1] / SQRT3), round(q[0])) for _, q in calls} == traced
+    # the mirrored entries are cached beside the traced ones
+    assert metric._origin_walk.cache_info().currsize == len(needed | traced) > len(calls)
     calls.clear()
     for rows, cols in ((12, 11), (7, 12), (12, 12)):
         CornerHopTable(Tessellation(rows, cols))
@@ -240,9 +250,14 @@ def test_hop_table_budget_refuses_big_windows_before_building():
     with pytest.raises(ValueError, match="budget"):
         CornerHopTable(Tessellation(200, 200))
     assert time.perf_counter() - start < 1.0
-    with pytest.raises(ValueError, match="budget"):
-        corner_hop_table(Tessellation(48, 48))
-    assert (48, 48) not in metric._HOP_TABLES
+    corner_hop_table.cache_clear()
+    corner_hop_table(Tessellation(2, 2))
+    # a refused window is not cached: a second call is refused again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="budget"):
+            corner_hop_table(Tessellation(48, 48))
+    info = corner_hop_table.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 0, 3)
     metric._check_table_budget(Tessellation(24, 24))
 
 

@@ -142,8 +142,15 @@ def test_trivial_unreachable_and_validation():
         refine_until(tess, w, (0, 0), (2, 2))
     with pytest.raises(ValueError):
         approx_shortest_path(tess, w, (0, 0), (2, 2), level=-1)
-    with pytest.raises(ValueError):
-        refine_until(tess, w, (0, 0), (2, 2), rel_tol=0.0)
+    # NaN fails every comparison, so it must not slip past a test of rel_tol <= 0
+    inst = gen_random(6, 6, seed=8)
+    reachable = (inst.tessellation, inst.weights, inst.source, inst.target)
+    for rel_tol in (0.0, -1.0, math.nan):
+        for args in ((tess, w, (0, 0), (2, 2)), reachable):
+            with pytest.raises(ValueError, match="rel_tol"):
+                refine_until(*args, rel_tol=rel_tol)
+            with pytest.raises(ValueError, match="rel_tol"):
+                ratio_report(*args, rel_tol=rel_tol)
 
 
 def test_max_level_zero_returns_vertex_path_cost():
@@ -169,6 +176,18 @@ def test_levels_over_node_budget_are_refused_before_building():
     blocked = WeightMap(np.full((2, 2), INF))
     with pytest.raises(ValueError, match="budget"):
         approx_shortest_path(Tessellation(2, 2), blocked, (0, 0), (2, 2), level=64)
+
+
+def test_steiner_node_budget_refuses_big_windows_before_building():
+    # 40x40 passes MAX_LEVEL at level 10 but needs about 2.5 M Steiner nodes
+    tess, ones = Tessellation(40, 40), WeightMap(np.ones((40, 40)))
+    with pytest.raises(ValueError, match="Steiner nodes"):
+        approx_shortest_path(tess, ones, (0, 0), (2, 0), level=10)
+    with pytest.raises(ValueError, match="Steiner nodes"):
+        refine_until(tess, ones, (0, 0), (2, 0), max_level=10)
+    # 24x24 at level 10 needs about 0.9 M, within the budget
+    small = _steiner_support(Tessellation(24, 24), WeightMap(np.ones((24, 24))), 10)
+    assert len(small.edges) * (2**10 - 1) < oracle.MAX_STEINER_NODES
 
 
 def test_node_budget_admits_level_7_on_24x24():
