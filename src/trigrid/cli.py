@@ -215,6 +215,9 @@ def _cmd_verify(args) -> int:
         raise ValueError("verify needs at least one trial")
     if args.jobs < 1:
         raise ValueError("jobs must be at least 1")
+    # refused for every suite, though only bounds and polygons read it
+    if not args.rel_tol > 0.0:  # NaN compares false both ways
+        raise ValueError("rel_tol must be positive")
     runs = [(args.suite, args.seed, trial, args.rel_tol) for trial in range(args.trials)]
     if args.jobs == 1:
         results = [_verify_trial(*run) for run in runs]

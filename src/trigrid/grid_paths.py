@@ -16,7 +16,12 @@ All three path families run one search kernel, _frontier_search: a
 Dijkstra that keeps unsettled tentative distances in a dense array and
 settles its first minimum, with no heap. The grid-path solver relaxes a
 corner through its six lattice edges, the vertex-path solver through its
-row of hop costs, and the Steiner oracle adds its cell cliques.
+row of hop costs, and the Steiner oracle adds its cell cliques. A settle
+asks its callback for candidate distances, the settled distance already
+added, so the oracle can add it in place to the clique costs it has just
+priced, and keeps the strictly improved ones with boolean masks: gathering
+their positions with nonzero and take instead measured slower, on the
+six heads of a grid step and on the hundreds of a deep Steiner level.
 """
 
 import math
@@ -89,7 +94,10 @@ def shortest_grid_path(
         return PathResult((s,), 0.0)
     heads, costs = _grid_arcs(tess, weights)
     cost, path, _ = _frontier_search(
-        len(heads), tess.corner_ids[s], tess.corner_ids[t], lambda u: ((heads[u], costs[u]),)
+        len(heads),
+        tess.corner_ids[s],
+        tess.corner_ids[t],
+        lambda u, d: ((heads[u], d + costs[u]),),
     )
     if math.isinf(cost):
         raise UnreachableError(f"no finite-cost grid path from {s!r} to {t!r}")
@@ -97,10 +105,12 @@ def shortest_grid_path(
     return PathResult(tuple(corners[k] for k in path), cost)
 
 
-# A node's out-arcs as (heads, costs) blocks: heads an index array, costs the
-# arc costs to them, of the same shape. A head may repeat within a block only
-# with bit-equal costs, since one masked write keeps either copy.
-_Arcs = Callable[[int], Iterable[Tuple[np.ndarray, np.ndarray]]]
+# arcs(u, d) gives node u's out-arcs, settled at distance d, as (heads,
+# candidates) blocks: heads an index array, candidates d plus the arc costs to
+# them, of the same shape. The kernel only reads a block, so a callback may
+# add d in place to costs it has just computed. A head may repeat within a
+# block only with bit-equal candidates, since one write keeps either copy.
+_Arcs = Callable[[int, float], Iterable[Tuple[np.ndarray, np.ndarray]]]
 
 
 def _frontier_search(
@@ -112,7 +122,8 @@ def _frontier_search(
     node and infinity otherwise; each step settles its first minimum, which
     is the (cost, node id) order a binary heap of (cost, id) pairs pops.
     A relaxation writes only strictly improved entries, so all blocks of one
-    node's arcs leave the minimum of their candidates whatever their order.
+    node's arcs leave the minimum of their candidates whatever their order;
+    see _Arcs for what a block holds.
     Returns the cost, the node path and the number of nodes settled; cost
     and path are (inf, []) when ti is unreachable.
     """
@@ -130,8 +141,7 @@ def _frontier_search(
         if u == ti:
             break
         frontier[u] = np.inf
-        for heads, costs in arcs(u):
-            nd = d + costs
+        for heads, nd in arcs(u, d):
             better = nd < dist[heads]
             lower = heads[better]
             if lower.size:
@@ -167,4 +177,4 @@ def shortest_vertex_path(
 def _hop_search(hop_matrix: np.ndarray, si: int, ti: int) -> Tuple[float, List[int], int]:
     """The vertex-path search over a hop-cost matrix; also the oracle's level 0."""
     heads = np.arange(len(hop_matrix))
-    return _frontier_search(len(heads), si, ti, lambda u: ((heads, hop_matrix[u]),))
+    return _frontier_search(len(heads), si, ti, lambda u, d: ((heads, d + hop_matrix[u]),))

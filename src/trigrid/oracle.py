@@ -81,7 +81,7 @@ _VERTEX_OFFSETS, _SLOT_ENDS = map(np.array, zip(_reference_cell(0), _reference_c
 def _slot_members(slot: int, per_edge: int) -> np.ndarray:
     """Local ids of a slot's two vertices (alike in both orientations), then its nodes."""
     run = 3 + slot * per_edge
-    return np.r_[_SLOT_ENDS[0, slot], run : run + per_edge]
+    return np.concatenate((_SLOT_ENDS[0, slot], np.arange(run, run + per_edge)))
 
 
 class OracleResult(NamedTuple):
@@ -167,20 +167,21 @@ class _SteinerGraph:
     (per corner, or per edge for the nodes on it), each head kept once with
     its weight and its column in the level's distance table, so one settle
     prices all of a node's cliques with one gather from one table row.
+    Each group's heads, columns and weights are laid out once per level as
+    views, and each node's group and table row are looked up, so a settle
+    slices nothing.
     """
 
     def __init__(self, ctx: "_SolveContext", level: int):
         cells, verts, edges, slot_edges = ctx.support
-        n_corners, n_cells, per_edge = len(ctx.cx), len(cells), 2 ** level - 1
+        n_corners, n_cells, per_edge = ctx.corner_xy.shape[1], len(cells), 2 ** level - 1
         self.n_corners, self.per_edge, self.edges = n_corners, per_edge, edges
         self.hop_matrix, self.corner_heads = ctx.hop_matrix, np.arange(n_corners)
 
-        cx, cy = ctx.cx, ctx.cy
         fractions = np.arange(1, per_edge + 1) / float(2 ** level)
-        ax, ay = cx[edges[:, 0], None], cy[edges[:, 0], None]
-        bx, by = cx[edges[:, 1], None], cy[edges[:, 1], None]
-        self.x = np.concatenate((cx, (ax + fractions * (bx - ax)).ravel()))
-        self.y = np.concatenate((cy, (ay + fractions * (by - ay)).ravel()))
+        a, b = ctx.corner_xy[:, edges, None].transpose(2, 0, 1, 3)  # each (xy, edge, 1)
+        along = (a + fractions * (b - a)).reshape(2, -1)
+        self.x, self.y = np.concatenate((ctx.corner_xy, along), axis=1)
 
         # local layout of every cell: 3 vertices, then per_edge nodes per slot
         edge_node_ids = n_corners + slot_edges[:, :, None] * per_edge + np.arange(per_edge)
@@ -193,40 +194,54 @@ class _SteinerGraph:
         weight_rows[:] = ctx.cell_w[:, None, None]
         for k in range(3):
             members = _slot_members(k, per_edge)
-            for row in (k, *(3 + members[:2])):  # the slot's row and its vertices' rows
-                weight_rows[:, row, members] = ctx.edge_w[:, k, None]
+            rows = np.array([k, 3 + members[0], 3 + members[1]])  # its own and its ends' rows
+            weight_rows[:, rows[:, None], members] = ctx.edge_w[:, k, None, None]
 
         # relaxation groups: corners 0..n_corners-1, then one per edge. A group
         # keeps each head once: the copies that cells sharing an edge give it
         # are priced alike, at that edge's min-rule weight.
         group = np.concatenate((verts.ravel(), n_corners + slot_edges.ravel()))
-        row_cell = np.tile(np.repeat(np.arange(n_cells), 3), 2)
-        row_kind = np.concatenate((np.tile([3, 4, 5], n_cells), np.tile([0, 1, 2], n_cells)))
+        # the rows stacked in group's order: every cell's weight rows 3-5 (its
+        # vertices), then every cell's rows 0-2 (its slots)
+        row_cell = np.arange(6 * n_cells) // 3 % n_cells
+        row_kind = np.repeat(np.array([[[3, 4, 5]], [[0, 1, 2]]]), n_cells, axis=1).ravel()
         n_nodes = len(self.x)
         keys = (group[:, None] * n_nodes + cell_ids[row_cell]).ravel()
-        keys, first = np.unique(keys, return_index=True)
-        bounds = np.searchsorted(keys // n_nodes, np.arange(n_corners + len(edges) + 1))
-        self.group_bounds = bounds.tolist()
-        self.heads = keys % n_nodes
-        self.head_w = weight_rows[row_cell, row_kind].ravel()[first]
-        self.table, columns = _clique_table(level)
+        # each key's first copy, as np.unique(keys, return_index=True) finds it
+        # but without its fixed cost, which a small level-1 graph feels
+        first = keys.argsort(kind="stable")
+        keys = keys[first]
+        kept = np.empty(len(keys), dtype=bool)
+        kept[:1], kept[1:] = True, keys[1:] != keys[:-1]
+        keys, first = keys[kept], first[kept]
+        key_group = keys // n_nodes
+        bounds = np.searchsorted(key_group, np.arange(n_corners + len(edges) + 1)).tolist()
+        heads = keys - key_group * n_nodes
+        head_w = weight_rows[row_cell, row_kind].ravel()[first]
+        table, columns = _clique_table(level)
         down = (cells[:, 0] + cells[:, 1]) % 2
-        self.head_idx = columns[down[row_cell], row_kind].ravel()[first]
+        head_idx = columns[down[row_cell], row_kind].ravel()[first]
+        self.groups = [
+            (heads[lo:hi], head_idx[lo:hi], head_w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        ]
+        # node u relaxes through group node_group[u], priced from table row
+        # node_row[u]: a corner through its own group and row 0, node m of an
+        # edge through the edge's group and row m + 1
+        edge_group = np.repeat(np.arange(n_corners, n_corners + len(edges)), per_edge)
+        self.node_group = np.concatenate((np.arange(n_corners), edge_group)).tolist()
+        rows = list(table)
+        self.node_row = rows[:1] * n_corners + rows[1:-1] * len(edges)
 
-    def _arcs(self, u: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """The hop row of a corner, then the merged clique heads of u."""
+    def _arcs(self, u: int, d: float) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """The candidates of u settled at d: a corner's hop row, then u's group
+        of clique heads, priced in place from its table row."""
+        heads, idx, w = self.groups[self.node_group[u]]
+        clique = self.node_row[u].take(idx)
+        clique *= w
+        clique += d
         if u < self.n_corners:
-            out = [(self.corner_heads, self.hop_matrix[u])]
-            group, row = u, 0
-        else:
-            out = []
-            edge, step = divmod(u - self.n_corners, self.per_edge)
-            group, row = self.n_corners + edge, step + 1
-        lo, hi = self.group_bounds[group], self.group_bounds[group + 1]
-        if lo < hi:
-            dvec = self.table[row][self.head_idx[lo:hi]]
-            out.append((self.heads[lo:hi], self.head_w[lo:hi] * dvec))
-        return out
+            return ((self.corner_heads, d + self.hop_matrix[u]), (heads, clique))
+        return ((heads, clique),)
 
     def _lies_on(self, u: int, edge: int) -> bool:
         """Whether node u is a node of the edge or one of its ends."""
@@ -309,14 +324,14 @@ class _SolveContext:
         np.minimum.at(min_w, slot_edges, self.cell_w[:, None])
         self.edge_w = min_w[slot_edges]
         corner_i, corner_j = tess.corner_array.T
-        self.cx, self.cy = corner_i.astype(float), corner_j * SQRT3
+        self.corner_xy = np.stack((corner_i.astype(float), corner_j * SQRT3))
 
     def solve(self, level: int) -> OracleResult:
         """The level's path, logging its nodes, settles and cost at DEBUG."""
         if self.s == self.t:
             return OracleResult((corner_position(self.s),), 0.0, level, True)
         if level == 0:
-            x, y = self.cx, self.cy
+            x, y = self.corner_xy
             cost, path, settled = _hop_search(self.hop_matrix, self.si, self.ti)
         else:
             graph = _SteinerGraph(self, level)

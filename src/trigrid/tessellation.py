@@ -45,6 +45,13 @@ Point = Tuple[float, float]
 INTERIOR_CROSSING = "interior-crossing"
 EDGE_COLLINEAR = "edge-collinear"
 
+# Longest walk traced, in pieces of about 500 bytes and 5 us each: 100,000
+# take about 50 MB and half a second. The three line families lie sqrt(3)
+# apart, so a segment n cell sides long crosses at most 4n / sqrt(3) + 3 lines
+# and one up to about 40,000 sides long is admitted; a hop table's walks span
+# a window and need a few hundred at most.
+MAX_WALK_PIECES = 100_000
+
 # Steps to the six adjacent corners, in counterclockwise angular order
 # starting from the +x direction.
 CORNER_STEPS_CCW = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
@@ -212,6 +219,12 @@ def _lerp(p: Point, q: Point, t: float) -> Point:
     return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
 
 
+def _multiples_between(a: float, b: float, step: int) -> int:
+    """How many multiples of step lie between a and b, ends included."""
+    lo, hi = (a, b) if a < b else (b, a)
+    return max(0, math.floor(hi / step) - math.ceil(lo / step) + 1)
+
+
 def _line_crossings(a: float, b: float, step: int, eps_t: float) -> List[float]:
     """Parameters where a + t*(b - a) hits multiples of step, clamped to [0, 1]."""
     if abs(b - a) < 1e-15:
@@ -258,7 +271,9 @@ def segment_walk(p: Point, q: Point) -> List[WalkRecord]:
     corners. Inner events snap to a corner within EPS_GEO, or 2 * EPS_GEO on
     a line, where a crossing may sit 2 / sqrt(3) * EPS_GEO from its corner.
     Pieces of at most EPS_GEO are dropped and p and q are kept exact. A
-    non-finite endpoint coordinate raises ValueError.
+    non-finite endpoint coordinate raises ValueError, and so does a segment
+    whose lattice-line crossings, counted in closed form before any is
+    traced, would make more than MAX_WALK_PIECES pieces.
     """
     length = math.dist(p, q)
     if not math.isfinite(length):
@@ -266,11 +281,21 @@ def segment_walk(p: Point, q: Point) -> List[WalkRecord]:
     if length <= EPS_GEO:
         return []
     line = _collinear_lattice_line(p, q)
+    cut_by = [
+        (a, b, step)
+        for (fam, step, _), a, b in zip(_FAMILIES, _affine(p), _affine(q))
+        if line is None or fam != line[0]
+    ]
+    # each crossing starts at most one piece, so this bounds the walk
+    if 1 + sum(_multiples_between(*family) for family in cut_by) > MAX_WALK_PIECES:
+        raise ValueError(
+            f"segment from {p!r} to {q!r} crosses more lattice lines than the budget of "
+            f"{MAX_WALK_PIECES} walk pieces"
+        )
     eps_t = EPS_GEO / length
     ts = [0.0, 1.0]
-    for (fam, step, _), a, b in zip(_FAMILIES, _affine(p), _affine(q)):
-        if line is None or fam != line[0]:
-            ts.extend(_line_crossings(a, b, step, eps_t))
+    for a, b, step in cut_by:
+        ts.extend(_line_crossings(a, b, step, eps_t))
     snap = EPS_GEO if line is None else 2.0 * EPS_GEO
     records = []
     for entry, exit_, mid in _pieces(p, q, _merged_events(ts, eps_t), snap):

@@ -1,7 +1,10 @@
 import concurrent.futures
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,9 +235,21 @@ class TestVerify:
     def test_zero_trials_exits_1(self, capsys):
         assert main(["verify", "bounds", "--trials", "0"]) == 1
 
-    @pytest.mark.parametrize("suite", ["bounds", "polygons"])
+    @pytest.mark.parametrize("suite", ["bounds", "polygons", "oracle"])
     def test_nan_rel_tol_exits_1(self, suite, capsys):
         assert main(["verify", suite, "--trials", "1", "--rel-tol", "nan"]) == 1
+        assert "rel_tol must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rel_tol", ["0", "-5"])
+    @pytest.mark.parametrize("suite", ["bounds", "polygons", "oracle"])
+    def test_non_positive_rel_tol_is_refused_before_any_trial(
+        self, suite, rel_tol, capsys, monkeypatch
+    ):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("trigrid.cli._verify_trial", no_trial)
+        assert main(["verify", suite, "--trials", "3", "--rel-tol", rel_tol]) == 1
         assert "rel_tol must be positive" in capsys.readouterr().err
 
     def test_violations_exit_3(self, capsys, monkeypatch):
@@ -281,3 +296,23 @@ class TestGenerate:
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out
+
+
+def test_library_never_imports_scipy():
+    # scipy comes only with the bench extra, so no module of the library,
+    # the command line included, may pull it in
+    script = (
+        "import importlib, pkgutil, sys, trigrid\n"
+        "names = [m.name for m in pkgutil.walk_packages(trigrid.__path__, 'trigrid.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "print(' '.join(sorted(names)))\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert "trigrid.cli" in out[0].split() and "trigrid.oracle" in out[0].split()
+    assert out[1] == "False"

@@ -172,12 +172,85 @@ def test_frontier_search_settles_bit_equal_ties_by_node_id():
     # whatever order the arcs are listed in
     arcs = {0: ((2, 1.0), (1, 1.0)), 1: ((3, 1.0),), 2: ((3, 1.0),), 3: ()}
 
-    def out(u):
+    def out(u, d):
         heads = np.array([v for v, _ in arcs[u]], dtype=np.int64)
-        return ((heads, np.array([c for _, c in arcs[u]])),)
+        return ((heads, d + np.array([c for _, c in arcs[u]])),)
 
     assert _frontier_search(4, 0, 3, out) == (2.0, [0, 1, 3], 4)
     assert _frontier_search(4, 3, 0, out) == (math.inf, [], 1)
+
+
+def random_block_graph(rng):
+    """A small graph whose arcs come in blocks of (heads, integer costs).
+
+    A node has one to three blocks; heads may repeat across blocks at any
+    costs and within a block at one cost, and may be the node itself. Integer
+    costs from 0 to 4 make bit-equal ties common.
+    """
+    n = int(rng.integers(2, 25))
+    blocks = []
+    for _ in range(n):
+        mine = []
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(0, min(n, 5) + 1))
+            heads = rng.choice(n, size, replace=False)
+            costs = rng.integers(0, 5, size).astype(float)
+            if size > 1:  # repeat a head, at its cost
+                heads, costs = np.append(heads, heads[0]), np.append(costs, costs[0])
+            mine.append((heads, costs))
+        blocks.append(mine)
+    return n, blocks
+
+
+def heap_search(n, si, ti, blocks):
+    """Dijkstra over the blocks' arcs one by one, with a heap of (cost, node id).
+
+    Returns the cost, the node path, the number of nodes popped unsettled
+    and the number of ties: arcs from another node that matched an unsettled
+    node's tentative cost exactly, which the strict test leaves unwritten.
+    """
+    dist = [INF] * n
+    parent = [-1] * n
+    done = [False] * n
+    dist[si] = 0.0
+    heap = [(0.0, si)]
+    settled = ties = 0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        settled += 1
+        if u == ti:
+            path = [ti]
+            while path[-1] != si:
+                path.append(parent[path[-1]])
+            return d, path[::-1], settled, ties
+        for heads, costs in blocks[u]:
+            for v, c in zip(heads.tolist(), costs.tolist()):
+                ties += d + c == dist[v] and not done[v] and parent[v] != u
+                if d + c < dist[v]:
+                    dist[v] = d + c
+                    parent[v] = u
+                    heapq.heappush(heap, (d + c, v))
+    return INF, [], settled, ties
+
+
+def test_frontier_search_matches_a_heap_dijkstra_on_random_block_graphs():
+    rng = np.random.default_rng(2024)
+    tied = unreachable = 0
+    for _ in range(200):
+        n, blocks = random_block_graph(rng)
+        si, ti = (int(v) for v in rng.integers(0, n, 2))
+
+        def arcs(u, d):
+            return [(heads, d + costs) for heads, costs in blocks[u]]
+
+        *want, ties = heap_search(n, si, ti, blocks)
+        assert _frontier_search(n, si, ti, arcs) == tuple(want)
+        unreachable += math.isinf(want[0])
+        tied += ties > 0
+    assert unreachable >= 10 and tied >= 50
 
 
 def reference_grid_search(tess, weights, s, t):

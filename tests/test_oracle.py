@@ -413,6 +413,44 @@ def test_search_matches_reference_dijkstra_exactly(case, level):
     assert got.path == want_path
 
 
+def sliced_arcs(graph, level, u, d):
+    """Node u's arcs by the flat layout's formula: its group's run of the
+    groups laid end to end, found by divmod, priced from table row
+    step + 1 (row 0 for a corner), after the corner's hop row."""
+    heads, idx, w = (np.concatenate(part) for part in zip(*graph.groups))
+    bounds = np.cumsum([0] + [len(group[0]) for group in graph.groups])
+    table = oracle._clique_table(level)[0]
+    n_corners, per_edge = graph.n_corners, 2**level - 1
+    out = []
+    if u < n_corners:
+        out.append((np.arange(n_corners), d + graph.hop_matrix[u]))
+        group, row = u, 0
+    else:
+        edge, step = divmod(u - n_corners, per_edge)
+        group, row = n_corners + edge, step + 1
+    lo, hi = bounds[group], bounds[group + 1]
+    out.append((heads[lo:hi], d + w[lo:hi] * table[row][idx[lo:hi]]))
+    return out
+
+
+def arc_pairs(blocks):
+    return sorted((int(v), float(c)) for heads, cands in blocks for v, c in zip(heads, cands))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["random-3x4-s10", "maze-5x5", "strip-3", "unreachable"])
+def test_steiner_arcs_match_the_sliced_layout(case, level):
+    tess, w, s, t = REFERENCE_CASES[case]()
+    graph = oracle._SteinerGraph(oracle._SolveContext(tess, w, s, t, level), level)
+    n_corners, n_nodes = graph.n_corners, len(graph.x)
+    assert n_nodes > n_corners and len(graph.groups) == n_corners + len(graph.edges)
+    for u in range(n_nodes):
+        for d in (0.0, 0.1):
+            got = graph._arcs(u, d)
+            assert arc_pairs(got) == arc_pairs(sliced_arcs(graph, level, u, d))
+            assert len(got) == 1 + (u < n_corners)
+
+
 def test_reference_cases_cover_blocked_cells_and_refinement():
     blocked = refined = 0
     for case in REFERENCE_CASES.values():

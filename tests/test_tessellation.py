@@ -1,15 +1,18 @@
 import math
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from trigrid.analysis import walk_polyline
 from trigrid.metric import WeightMap, segment_cost
+from trigrid import tessellation
 from trigrid.tessellation import (
     CORNER_STEPS_CCW,
     EDGE_COLLINEAR,
     EPS_GEO,
     INTERIOR_CROSSING,
+    MAX_WALK_PIECES,
     SQRT3,
     Tessellation,
     WalkRecord,
@@ -220,6 +223,46 @@ def test_walk_refuses_non_finite_endpoints(p, q, coord, bad):
     ):
         with pytest.raises(ValueError, match="finite"):
             call()
+
+
+def test_walk_refuses_a_segment_over_the_piece_budget_at_once():
+    # a 1e12-long segment crosses about 5e11 lines: walked, it would take a day
+    weights = WeightMap([[1.0]])
+    start = time.perf_counter()
+    for call in (
+        lambda: segment_walk((0.0, 0.0), (1e12, 1.0)),
+        lambda: segment_cost(weights, (0, 0), (1e12, 1)),
+        lambda: walk_polyline([(0.0, 0.0), (1.0, 0.0), (1.0, 1e12)]),
+        lambda: segment_walk((-1e12, 0.0), (1e12, 0.0)),  # along a line
+    ):
+        with pytest.raises(ValueError, match=f"budget of {MAX_WALK_PIECES} walk pieces"):
+            call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_walk_budget_counts_the_pieces_of_a_generic_segment_exactly(monkeypatch):
+    # the segment meets no corner, so every line crossing starts a piece
+    p, q = (0.3, 0.1), (37.7, 21.9)
+    want = segment_walk(p, q)
+    monkeypatch.setattr(tessellation, "MAX_WALK_PIECES", len(want))
+    assert segment_walk(p, q) == want
+    monkeypatch.setattr(tessellation, "MAX_WALK_PIECES", len(want) - 1)
+    with pytest.raises(ValueError, match="walk pieces"):
+        segment_walk(p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points, points)
+def test_walk_budget_admits_the_walk_tests_segments_and_never_undercounts(p, q):
+    # the walk tests draw their segments from these points: all are admitted,
+    # and a budget one short of a walk's pieces refuses it
+    pieces = len(segment_walk(p, q))
+    assert pieces <= MAX_WALK_PIECES
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tessellation, "MAX_WALK_PIECES", pieces - 1)
+        if pieces:
+            with pytest.raises(ValueError, match="walk pieces"):
+                segment_walk(p, q)
 
 
 # -- reference: a walk along a line from its corners' projections ---------------
