@@ -34,6 +34,7 @@ from .instances import (
     export_svg,
     gen_random,
     gen_strip,
+    gen_svp_witness,
     gen_two_weight_maze,
     load_instance,
     save_instance,
@@ -70,6 +71,7 @@ __all__ = [
     "export_svg",
     "gen_random",
     "gen_strip",
+    "gen_svp_witness",
     "gen_two_weight_maze",
     "load_instance",
     "ratio_report",

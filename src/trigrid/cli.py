@@ -12,7 +12,7 @@ import sys
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from .analysis import RATIO_BOUND, RATIO_TOL, ratio_report
+from .analysis import RATIO_BOUND, RATIO_TOL, ratio_report, svp_lower_bound_constant
 from .grid_paths import (
     InvalidCornerError,
     UnreachableError,
@@ -26,6 +26,7 @@ from .instances import (
     export_svg,
     gen_random,
     gen_strip,
+    gen_svp_witness,
     gen_two_weight_maze,
     load_instance,
     save_instance,
@@ -170,6 +171,29 @@ def _check_polygons(inst: Instance, rel_tol: float) -> List[str]:
     return out
 
 
+# the SVP witness is solved up to this level; level 4 on comes within 2e-8 of
+# its constant, levels 1-3 only within 3e-3
+_WITNESS_MAX_LEVEL = 8
+
+
+def _check_svp_witness() -> List[str]:
+    """SVP/UB on the SVP witness never exceeds svp_lower_bound_constant(),
+    and comes within 1e-7 of it from level 4 on."""
+    inst = gen_svp_witness()
+    ctx = _SolveContext(
+        inst.tessellation, inst.weights, inst.source, inst.target, _WITNESS_MAX_LEVEL
+    )
+    svp, bound = ctx.solve(0).cost, svp_lower_bound_constant()
+    out = []
+    for level in range(1, _WITNESS_MAX_LEVEL + 1):
+        ratio = svp / ctx.solve(level).cost
+        if ratio > bound + 1e-12:
+            out.append(f"SVP witness level {level}: svp/sp {ratio!r} exceeds the constant")
+        elif level >= 4 and ratio < bound - 1e-7:
+            out.append(f"SVP witness level {level}: svp/sp {ratio!r} falls short of the constant")
+    return out
+
+
 def _check_oracle(inst: Instance, trial: int) -> List[str]:
     tess, weights = inst.tessellation, inst.weights
     out = []
@@ -192,6 +216,7 @@ def _check_oracle(inst: Instance, trial: int) -> List[str]:
         want = segment_cost(uniform, corner_position(s), corner_position(t))
         if abs(got - want) > 1e-3:
             out.append(f"uniform weights: oracle {got:.9f} vs straight {want:.9f}")
+        out += _check_svp_witness()
     return out
 
 
@@ -253,10 +278,12 @@ def _cmd_generate(args) -> int:
             weight_high=args.weight_high,
             inf_prob=args.inf_prob,
         )
-    else:
+    elif args.kind == "maze":
         inst = gen_two_weight_maze(
             args.rows, args.cols, seed=args.seed, wall_prob=args.wall_prob
         )
+    else:
+        inst = gen_svp_witness()
     save_instance(args.out, inst)
     print(f"wrote {args.out} ({inst.label})")
     return EXIT_OK
@@ -294,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     generate = sub.add_parser("generate", help="write an instance file")
-    generate.add_argument("kind", choices=("strip", "random", "maze"))
+    generate.add_argument("kind", choices=("strip", "random", "maze", "svp-witness"))
     generate.add_argument("--out", required=True)
     generate.add_argument("--k", type=int, default=None)
     generate.add_argument("--rows", type=int, default=4)

@@ -156,6 +156,26 @@ def gen_two_weight_maze(rows: int, cols: int, seed: int, wall_prob: float = 0.3)
     return _sample(rows, cols, seed, f"maze-{rows}x{cols}-s{seed}", draw)
 
 
+def gen_svp_witness() -> Instance:
+    """The two-cell window on which SVP/SP attains svp_lower_bound_constant().
+
+    Upward cell (0, 0) weighs 1 and holds t = (0, 0); downward cell (0, 1)
+    weighs 7 - 4*sqrt(3) and shares with it the edge from s = (2, 0) to
+    (1, 1). SVP is the bottom-edge hop, at cost 2. SP runs up the shared
+    edge from s at that edge's min-rule weight and leaves it
+    svp_lower_bound_witness_offset() short of its midpoint, refracting
+    straight across cell (0, 0) to t; 2 / cost(SP) is the constant. The
+    bend is not dyadic, so no refinement level of the oracle reaches it.
+    """
+    return Instance(
+        tessellation=Tessellation(1, 2),
+        weights=WeightMap([[1.0, 7.0 - 4.0 * SQRT3]]),
+        source=(2, 0),
+        target=(0, 0),
+        label="svp-witness",
+    )
+
+
 def _tokens(text: str) -> Iterator[Tuple[int, List[str]]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

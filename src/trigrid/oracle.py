@@ -85,6 +85,14 @@ def _slot_members(slot: int, per_edge: int) -> np.ndarray:
 
 
 class OracleResult(NamedTuple):
+    """A Steiner path, its cost (an upper bound on SP) and its level.
+
+    converged means refine_until stopped because the last level improved
+    the cost by less than rel_tol, relative to it. It certifies no gap to
+    the true optimum: a level may fail to improve on the one before while
+    a deeper one still does (see refine_until).
+    """
+
     path: Tuple[Point, ...]
     cost: float
     level: int
@@ -117,8 +125,8 @@ def _clique_table(level: int) -> Tuple[np.ndarray, np.ndarray]:
     edge, through it; block B nodes j steps from the second end; block C
     the nodes of its own edge and its ends.
 
-    The columns, (2, 6, 3 + 3 * per_edge) int32, are indexed [down, row
-    kind, local member] like _SteinerGraph's weight rows. They are read off
+    The columns, (2, 6, 3 + 3 * per_edge) intp, are indexed [down, row
+    kind, local member] like _SolveContext's stacked rows. They are read off
     steps[v, c], the steps from vertex v to member c along an edge that
     holds both, -1 where none does. A slot row reads C for the slot's own
     members, A through its first end where that end has an edge to the
@@ -134,7 +142,7 @@ def _clique_table(level: int) -> Tuple[np.ndarray, np.ndarray]:
 
     along = np.arange(1, p)  # node m of an edge sits m + 1 steps from its first end
     second, own = p + 1, 2 * (p + 1)  # the offsets of blocks B and C
-    columns = np.empty((2, 6, 3 + 3 * (p - 1)), dtype=np.int32)
+    columns = np.empty((2, 6, 3 + 3 * (p - 1)), dtype=np.intp)
     for down, slot_ends in enumerate(_SLOT_ENDS):
         steps = np.full((3, 3 + 3 * (p - 1)), -1)
         steps[:, :3] = p - p * np.eye(3, dtype=int)  # any two vertices share an edge
@@ -155,6 +163,24 @@ def _clique_table(level: int) -> Tuple[np.ndarray, np.ndarray]:
     return table, columns
 
 
+@functools.lru_cache(maxsize=MAX_LEVEL + 1)
+def _weight_slots(level: int) -> np.ndarray:
+    """Which weight prices each arc of a cell, indexed like _clique_table's
+    columns: slot k (0-2) for the min-rule weight of the cell's edge slot k,
+    3 for the cell weight. A source pays edge slot k's weight to a target
+    on that edge when the edge holds the source too: a node of the slot, or
+    one of its ends. A vertex lies on two slots and pays the later one's
+    weight to itself, at distance 0."""
+    per_edge = 2 ** level - 1
+    slots = np.full((6, 3 + 3 * per_edge), 3, dtype=np.int8)
+    for k in range(3):
+        members = _slot_members(k, per_edge)
+        slots[[[k], [3 + members[0]], [3 + members[1]]], members] = k
+    slots = np.stack((slots, slots))
+    slots.setflags(write=False)
+    return slots
+
+
 class _SteinerGraph:
     """The level's Steiner graph, with its cell cliques stacked in arrays.
 
@@ -169,12 +195,13 @@ class _SteinerGraph:
     prices all of a node's cliques with one gather from one table row.
     Each group's heads, columns and weights are laid out once per level as
     views, and each node's group and table row are looked up, so a settle
-    slices nothing.
+    slices nothing. Heads and columns are intp, so no gather casts them.
     """
 
     def __init__(self, ctx: "_SolveContext", level: int):
         cells, verts, edges, slot_edges = ctx.support
         n_corners, n_cells, per_edge = ctx.corner_xy.shape[1], len(cells), 2 ** level - 1
+        n_members = 3 + 3 * per_edge
         self.n_corners, self.per_edge, self.edges = n_corners, per_edge, edges
         self.hop_matrix, self.corner_heads = ctx.hop_matrix, np.arange(n_corners)
 
@@ -182,55 +209,64 @@ class _SteinerGraph:
         a, b = ctx.corner_xy[:, edges, None].transpose(2, 0, 1, 3)  # each (xy, edge, 1)
         along = (a + fractions * (b - a)).reshape(2, -1)
         self.x, self.y = np.concatenate((ctx.corner_xy, along), axis=1)
-
-        # local layout of every cell: 3 vertices, then per_edge nodes per slot
-        edge_node_ids = n_corners + slot_edges[:, :, None] * per_edge + np.arange(per_edge)
-        cell_ids = np.concatenate((verts, edge_node_ids.reshape(n_cells, 3 * per_edge)), axis=1)
-
-        # weight row k (0-2) prices the arcs from a node on edge slot k, row
-        # 3 + m those from vertex m: a target on an edge that holds the source
-        # pays that edge's min-rule weight, any other the cell weight
-        weight_rows = np.empty((n_cells, 6, 3 + 3 * per_edge))
-        weight_rows[:] = ctx.cell_w[:, None, None]
-        for k in range(3):
-            members = _slot_members(k, per_edge)
-            rows = np.array([k, 3 + members[0], 3 + members[1]])  # its own and its ends' rows
-            weight_rows[:, rows[:, None], members] = ctx.edge_w[:, k, None, None]
-
-        # relaxation groups: corners 0..n_corners-1, then one per edge. A group
-        # keeps each head once: the copies that cells sharing an edge give it
-        # are priced alike, at that edge's min-rule weight.
-        group = np.concatenate((verts.ravel(), n_corners + slot_edges.ravel()))
-        # the rows stacked in group's order: every cell's weight rows 3-5 (its
-        # vertices), then every cell's rows 0-2 (its slots)
-        row_cell = np.arange(6 * n_cells) // 3 % n_cells
-        row_kind = np.repeat(np.array([[[3, 4, 5]], [[0, 1, 2]]]), n_cells, axis=1).ravel()
         n_nodes = len(self.x)
-        keys = (group[:, None] * n_nodes + cell_ids[row_cell]).ravel()
-        # each key's first copy, as np.unique(keys, return_index=True) finds it
-        # but without its fixed cost, which a small level-1 graph feels
+
+        # each stacked row's node ids, in the local layout of its cell (3
+        # vertices, then per_edge nodes per slot), offset by its group, so
+        # that sorting them groups the rows' heads
+        edge_node_ids = n_corners + slot_edges[:, :, None] * per_edge + np.arange(per_edge)
+        cell_ids = np.concatenate((verts, edge_node_ids.reshape(n_cells, -1)), axis=1)
+        del edge_node_ids
+        keys = cell_ids[ctx.row_cell]
+        del cell_ids
+        keys += (ctx.row_group * n_nodes)[:, None]
+        keys = keys.ravel()
+        # a group keeps each head once: the copies that cells sharing an edge
+        # give it are priced alike, at that edge's min-rule weight. Keep each
+        # key's first copy, as np.unique(keys, return_index=True) finds it but
+        # without its fixed cost, which a small level-1 graph feels.
         first = keys.argsort(kind="stable")
         keys = keys[first]
         kept = np.empty(len(keys), dtype=bool)
         kept[:1], kept[1:] = True, keys[1:] != keys[:-1]
         keys, first = keys[kept], first[kept]
-        key_group = keys // n_nodes
-        bounds = np.searchsorted(key_group, np.arange(n_corners + len(edges) + 1)).tolist()
-        heads = keys - key_group * n_nodes
-        head_w = weight_rows[row_cell, row_kind].ravel()[first]
+        del kept
+        group_starts = np.arange(0, (n_corners + len(edges) + 1) * n_nodes, n_nodes)
+        bounds = np.searchsorted(keys, group_starts).tolist()
+        # integer floor division by a scalar is fast, remainder and divmod are not
+        group_base = keys // n_nodes
+        group_base *= n_nodes
+        heads = np.subtract(keys, group_base, out=keys)
+        del group_base
+        # each kept copy's stacked row and local member price it: its column
+        # in the level's table, and its weight, which the member's weight slot
+        # picks from the row's three min-rule edge weights and its cell weight
+        rows = first // n_members
+        members = first  # reused in place: first is not read again
+        del first
+        members -= rows * n_members
         table, columns = _clique_table(level)
-        down = (cells[:, 0] + cells[:, 1]) % 2
-        head_idx = columns[down[row_cell], row_kind].ravel()[first]
+        members += (ctx.row_columns * n_members).take(rows)  # a flat index into columns
+        head_idx = columns.take(members)
+        slot = _weight_slots(level).take(members)
+        del members
+        rows *= 4
+        rows += slot
+        head_w = ctx.row_w.take(rows)
+        del rows, slot
         self.groups = [
             (heads[lo:hi], head_idx[lo:hi], head_w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
         ]
         # node u relaxes through group node_group[u], priced from table row
         # node_row[u]: a corner through its own group and row 0, node m of an
-        # edge through the edge's group and row m + 1
-        edge_group = np.repeat(np.arange(n_corners, n_corners + len(edges)), per_edge)
-        self.node_group = np.concatenate((np.arange(n_corners), edge_group)).tolist()
-        rows = list(table)
-        self.node_row = rows[:1] * n_corners + rows[1:-1] * len(edges)
+        # edge through the edge's group and row m + 1. The nodes of an edge
+        # share one int object for their group. Deriving both from u with
+        # divmod instead measured about 1% slower per settle at level 7.
+        group_ids = np.arange(n_corners + len(edges), dtype=object)
+        edge_groups = np.repeat(group_ids[n_corners:], per_edge)
+        self.node_group = np.concatenate((group_ids[:n_corners], edge_groups)).tolist()
+        table_rows = list(table)
+        self.node_row = table_rows[:1] * n_corners + table_rows[1:-1] * len(edges)
 
     def _arcs(self, u: int, d: float) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
         """The candidates of u settled at d: a corner's hop row, then u's group
@@ -316,15 +352,25 @@ class _SolveContext:
         self.s, self.t, self.max_level = s, t, max_level
         self.si, self.ti = tess.corner_ids[s], tess.corner_ids[t]
         self.support = _steiner_support(tess, weights, max_level)
-        cells, _, edges, slot_edges = self.support
+        cells, verts, edges, slot_edges = self.support
         self.hop_matrix = None if s == t else corner_hop_table(tess).cost_matrix(weights)
-        self.cell_w = weights.values[cells[:, 0], cells[:, 1]]
+        cell_w = weights.values[cells[:, 0], cells[:, 1]]
         # an edge's min-rule weight is the least weight of the finite cells that hold it
         min_w = np.full(len(edges), np.inf)
-        np.minimum.at(min_w, slot_edges, self.cell_w[:, None])
-        self.edge_w = min_w[slot_edges]
+        np.minimum.at(min_w, slot_edges, cell_w[:, None])
         corner_i, corner_j = tess.corner_array.T
         self.corner_xy = np.stack((corner_i.astype(float), corner_j * SQRT3))
+        # every level stacks the cells' weight rows alike: each cell's rows
+        # 3-5 (its vertices), then each cell's rows 0-2 (its slots). A row
+        # relaxes group row_group (a corner, or n_corners + an edge), reads
+        # columns[row_columns // 6, row_columns % 6] and picks its weights
+        # from row_w: its cell's three slot min-rule weights, then the cell's.
+        n_cells = len(cells)
+        self.row_cell = np.arange(6 * n_cells) // 3 % n_cells
+        self.row_group = np.concatenate((verts.ravel(), len(tess.corners) + slot_edges.ravel()))
+        kind = np.repeat(np.array([[[3, 4, 5]], [[0, 1, 2]]]), n_cells, axis=1).ravel()
+        self.row_columns = 6 * ((cells[:, 0] + cells[:, 1]) % 2)[self.row_cell] + kind
+        self.row_w = np.concatenate((min_w[slot_edges], cell_w[:, None]), axis=1)[self.row_cell]
 
     def solve(self, level: int) -> OracleResult:
         """The level's path, logging its nodes, settles and cost at DEBUG."""
@@ -393,8 +439,12 @@ def refine_until(
 
     Costs are non-increasing in the level, so the loop stops at the first
     level whose improvement over the previous one is small enough; the
-    result is flagged converged. Hitting max_level first leaves the flag
-    unset. A max_level beyond the node budget is refused up front. At DEBUG
+    result is flagged converged. That flag means only that the last level
+    improved by less than rel_tol, not that the cost is within rel_tol of
+    the optimum. On instances.gen_svp_witness() levels 1-3 cost the same,
+    so the loop stops at level 2, converged, with svp/sp 1.10874, while
+    level 4 gives 1.11150. Hitting max_level first leaves the flag unset.
+    A max_level beyond the node budget is refused up front. At DEBUG
     each level's search logs its line (see approx_shortest_path), then this
     loop logs the level's relative improvement and, last, why it stopped.
     """

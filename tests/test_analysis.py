@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from trigrid import analysis, metric, oracle
 from trigrid.grid_paths import UnreachableError, shortest_grid_path
-from trigrid.instances import GenerationError, gen_random, gen_two_weight_maze
+from trigrid.instances import GenerationError, gen_random, gen_svp_witness, gen_two_weight_maze
 from trigrid.metric import WeightMap, segment_cost, walk_cost
 from trigrid.oracle import approx_shortest_path, refine_until
 from trigrid.analysis import (
@@ -917,6 +917,40 @@ class TestConstants:
         mp.mp.dps = 50
         expected = (7 * mp.sqrt(3) - 12) / mp.sqrt(56 * mp.sqrt(3) - 96)
         assert svp_lower_bound_witness_offset() == pytest.approx(float(expected), abs=1e-9)
+
+    def test_witness_one_bend_refraction_attains_the_constant(self):
+        # SP on the witness runs up the shared edge from s at the light
+        # cell's weight, then straight across the unit cell to t; its bend
+        # sits where Snell's law holds along the edge
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        inst = gen_svp_witness()
+        light = 7 - 4 * mp.sqrt(3)
+        assert float(light) == pytest.approx(inst.weights.values[0, 1], rel=1e-15)
+        s, apex, t = (
+            mp.matrix([i, j * mp.sqrt(3)]) for i, j in (inst.source, (1, 1), inst.target)
+        )
+        for corner, point in ((inst.source, s), ((1, 1), apex), (inst.target, t)):
+            assert corner_position(corner) == pytest.approx((float(point[0]), float(point[1])))
+        along = (apex - s) / mp.norm(apex - s)
+
+        def cost(a):
+            return light * a + mp.norm(s + a * along - t)
+
+        def slope(a):
+            leg = s + a * along - t
+            return light + (leg.T * along)[0] / mp.norm(leg)
+
+        bend = mp.findroot(slope, 0.9)
+        assert 0 < bend < mp.norm(apex - s)
+        assert cost(bend) < min(cost(bend - mp.mpf("1e-6")), cost(bend + mp.mpf("1e-6")))
+        root = mp.sqrt(7 * mp.sqrt(3) - 12)
+        constant = 2 * root / ((7 - 4 * mp.sqrt(3)) * (6 * mp.sqrt(2) + root))
+        offset = (7 * mp.sqrt(3) - 12) / mp.sqrt(56 * mp.sqrt(3) - 96)
+        assert abs(2 / cost(bend) - constant) < mp.mpf("1e-30")
+        assert abs((1 - bend) - offset) < mp.mpf("1e-30")
+        assert svp_lower_bound_constant() == pytest.approx(float(constant), rel=1e-15)
+        assert svp_lower_bound_witness_offset() == pytest.approx(float(offset), rel=1e-15)
 
     def test_constant_sits_below_the_grid_bound(self):
         assert 1.0 < svp_lower_bound_constant() < RATIO_BOUND

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from trigrid.cli import CSV_HEADER, main
-from trigrid.instances import Instance, gen_strip, save_instance, serialize_instance
+from trigrid.instances import (
+    Instance,
+    gen_strip,
+    gen_svp_witness,
+    save_instance,
+    serialize_instance,
+)
 from trigrid.metric import WeightMap
 from trigrid.tessellation import SQRT3, Tessellation
 
@@ -163,6 +169,24 @@ class TestVerify:
         assert "differs from vertex path" in out
         assert "oracle: 3 trials, 3 violations" in out
 
+    def test_oracle_suite_holds_the_svp_witness_to_its_constant(self, capsys, monkeypatch):
+        from trigrid import cli
+        from trigrid.analysis import svp_lower_bound_constant
+
+        assert cli._check_svp_witness() == []
+        args = ["verify", "oracle", "--trials", "1", "--seed", "1"]
+        constant = svp_lower_bound_constant()
+        # levels 4-8 come within 2e-8 of the constant: a constant 1e-6 lower
+        # is exceeded there, and one 1e-6 higher is missed by more than 1e-7
+        for shift, words in ((-1e-6, "exceeds"), (1e-6, "falls short of")):
+            monkeypatch.setattr(cli, "svp_lower_bound_constant", lambda: constant + shift)
+            assert main(args) == 3
+            out = capsys.readouterr().out
+            flagged = [f"SVP witness level {level}:" in out for level in range(1, 9)]
+            assert flagged == [False] * 3 + [True] * 5
+            assert out.count(f"{words} the constant") == 5
+            assert "oracle: 1 trials, 5 violations" in out
+
     def test_oracle_trial_prices_the_hop_matrix_and_builds_the_support_once(self, monkeypatch):
         # levels 0-3 share one solve context; SVP stays an independent check
         from collections import Counter
@@ -282,6 +306,12 @@ class TestGenerate:
         rows = lines[lines.index("WEIGHTS") + 1 : lines.index("WEIGHTS") + 5]
         values = {tok for line in rows for tok in line.split()}
         assert values <= {"1.0", "inf"}
+
+    def test_svp_witness_file_contents(self, tmp_path, capsys):
+        out = tmp_path / "w.trigrid"
+        assert main(["generate", "svp-witness", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == serialize_instance(gen_svp_witness())
+        assert "(svp-witness)" in capsys.readouterr().out
 
     def test_strip_k_zero_exits_1(self, tmp_path, capsys):
         assert main(["generate", "strip", "--k", "0", "--out", str(tmp_path / "x")]) == 1

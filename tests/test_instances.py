@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from trigrid.grid_paths import shortest_grid_path
+from trigrid.grid_paths import shortest_grid_path, shortest_vertex_path
 from trigrid.instances import (
     GenerationError,
     Instance,
@@ -12,6 +12,7 @@ from trigrid.instances import (
     export_svg,
     gen_random,
     gen_strip,
+    gen_svp_witness,
     gen_two_weight_maze,
     load_instance,
     parse_instance,
@@ -20,7 +21,7 @@ from trigrid.instances import (
 )
 from trigrid.metric import WeightMap
 from trigrid.oracle import approx_shortest_path
-from trigrid.tessellation import SQRT3, Tessellation
+from trigrid.tessellation import SQRT3, Tessellation, cell_vertices
 
 TWO_OVER_SQRT3 = 2.0 / SQRT3
 
@@ -122,6 +123,28 @@ class TestGenMaze:
     def test_rejects_bad_wall_prob(self):
         with pytest.raises(ValueError):
             gen_two_weight_maze(3, 3, seed=0, wall_prob=1.0)
+
+
+class TestGenSvpWitness:
+    def test_two_cells_share_the_edge_from_the_source(self):
+        inst = gen_svp_witness()
+        assert (inst.tessellation.rows, inst.tessellation.cols) == (1, 2)
+        assert inst.weights.values.tolist() == [[1.0, 7.0 - 4.0 * SQRT3]]
+        assert (inst.source, inst.target, inst.label) == ((2, 0), (0, 0), "svp-witness")
+        light, heavy = cell_vertices((0, 1)), cell_vertices((0, 0))
+        assert inst.target in heavy and inst.target not in light
+        assert set(light) & set(heavy) == {inst.source, (1, 1)}
+
+    def test_vertex_path_is_the_bottom_edge_hop(self):
+        inst = gen_svp_witness()
+        svp = shortest_vertex_path(inst.tessellation, inst.weights, inst.source, inst.target)
+        assert svp.path == ((2, 0), (0, 0)) and svp.cost == 2.0
+
+    def test_round_trip_is_exact(self):
+        inst = gen_svp_witness()
+        back = parse_instance(serialize_instance(inst), inst.label)
+        assert np.array_equal(back.weights.values, inst.weights.values)
+        assert (back.source, back.target, back.label) == (inst.source, inst.target, inst.label)
 
 
 class TestInstanceValidation:

@@ -14,7 +14,7 @@ from trigrid.grid_paths import (
 )
 from trigrid import oracle
 from trigrid.analysis import ratio_report
-from trigrid.instances import gen_random, gen_strip, gen_two_weight_maze
+from trigrid.instances import gen_random, gen_strip, gen_svp_witness, gen_two_weight_maze
 from trigrid.metric import WeightMap, corner_hop_table, edge_weight, segment_cost
 from trigrid.oracle import (
     OracleResult,
@@ -451,6 +451,38 @@ def test_steiner_arcs_match_the_sliced_layout(case, level):
             assert len(got) == 1 + (u < n_corners)
 
 
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_steiner_groups_hold_intp_heads_and_columns(case, level):
+    # a settle gathers its table row through the columns and the kernel
+    # indexes its distances by the heads: an int32 array would be cast to
+    # intp on every settle, which made a level-7 settle about 6% slower
+    tess, w, s, t = REFERENCE_CASES[case]()
+    graph = oracle._SteinerGraph(oracle._SolveContext(tess, w, s, t, level), level)
+    assert graph.groups
+    for heads, idx, _ in graph.groups:
+        assert heads.dtype == np.intp and idx.dtype == np.intp
+
+
+def test_level_7_build_peak_stays_under_the_old_layouts():
+    inst = gen_random(10, 9, seed=3)
+    ctx = oracle._SolveContext(inst.tessellation, inst.weights, inst.source, inst.target, 7)
+    oracle._SteinerGraph(ctx, 7)  # fill the level's table caches
+    tracemalloc.start()
+    try:
+        graph = oracle._SteinerGraph(ctx, 7)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph.x) == 18_476
+    # the build with a (cells, 6, members) weight array and int32 columns
+    # peaked at 9.68 MiB here
+    assert peak <= 9.7 * 2**20
+    # each full-size temporary is freed before the next is made: they add
+    # about 44% to what the graph keeps, and one kept too long adds 10% more
+    assert peak <= 1.5 * kept
+
+
 def test_reference_cases_cover_blocked_cells_and_refinement():
     blocked = refined = 0
     for case in REFERENCE_CASES.values():
@@ -559,6 +591,20 @@ def test_refine_until_matches_a_loop_over_levels(case):
 def test_refine_until_matches_a_loop_over_levels_on_random_windows(seed):
     tess, w = random_instance(seed)
     assert_refines_like_the_loop(tess, w, *endpoints(tess), max_level=5)
+
+
+def test_converged_means_one_level_failed_to_improve():
+    # on the SVP witness levels 1-3 tie, so refine_until stops at level 2 and
+    # flags it converged, while level 4 is 0.25% cheaper: the flag certifies
+    # no gap to the optimum
+    inst = gen_svp_witness()
+    args = (inst.tessellation, inst.weights, inst.source, inst.target)
+    res = refine_until(*args)
+    assert res.level == 2 and res.converged
+    assert 2.0 / res.cost == pytest.approx(1.10874, abs=5e-6)
+    deeper = approx_shortest_path(*args, level=4)
+    assert 2.0 / deeper.cost == pytest.approx(1.11150, abs=5e-6)
+    assert deeper.cost < res.cost * (1.0 - 2e-3)
 
 
 def test_refine_until_keeps_one_level_graph_alive():
