@@ -10,11 +10,13 @@ path is poor but whose shortcut repair is near-optimal.
 SP is walked once per report, by walk_polyline, and every layer reads
 that walk: the crossing path merges its pieces into cell visits, the
 decomposition reads every contact off their ends, and each pocket's SP
-side is priced from its own pieces. The walk also locates each of SP's
+side is priced from its own pieces, its X side from the edges of X it
+runs along, which the pocket carries. The walk also locates each of SP's
 vertices and piece ends once, with locate_point at EPS_GEO, and every
 layer reads that answer instead of locating the point again.
 """
 
+import bisect
 import logging
 import math
 import random
@@ -99,7 +101,8 @@ class GapPolygon(NamedTuple):
 
     kind counts the pivot-incident edges the inner sub-polyline touches;
     shared pockets are the degenerate kind-1 case where both paths run
-    together and cut_edges holds only the edge they share. pieces are
+    together and cut_edges holds only the edge they share. x_edges holds
+    the edge of X that each piece of x_points runs along, and pieces are
     SP's walk pieces inside the pocket.
     """
 
@@ -107,6 +110,7 @@ class GapPolygon(NamedTuple):
     pivot: Corner
     sp_points: Tuple[Point, ...]
     x_points: Tuple[Point, ...]
+    x_edges: Tuple[Edge, ...]
     cut_edges: Tuple[Edge, ...]
     shared: bool
     pieces: Tuple[WalkRecord, ...]
@@ -241,6 +245,20 @@ def _slice_polyline(
             out.append(pts[k])
     out.append(_point_at(pts, cum, hi))
     return tuple(out)
+
+
+def _slice_edges(
+    cum: Sequence[float], edges: Sequence[Edge], lo: float, hi: float
+) -> Tuple[Edge, ...]:
+    """The edge under each piece of a corner walk's _slice_polyline from arc
+    lo to arc hi. The slice keeps the vertices first..last - 1, so its pieces
+    run along edges first - 1 to last - 1; with none kept, its one piece runs
+    along the edge that holds its middle arc."""
+    first = max(1, bisect.bisect_right(cum, lo + 1e-9))
+    last = min(len(cum) - 1, bisect.bisect_left(cum, hi - 1e-9))
+    if first < last:
+        return tuple(edges[first - 1 : last])
+    return (edges[min(bisect.bisect_right(cum, (lo + hi) / 2.0), len(edges)) - 1],)
 
 
 # -- crossing path ----------------------------------------------------------
@@ -488,6 +506,7 @@ def coincidence_decomposition(sp: PolylineWalk, x: CrossingPath) -> CoincidenceD
         (lo_sp, lo_x), (hi_sp, hi_x) = arcs[k], arcs[k + 1]
         sp_sub = _slice_polyline(sp_pts, sp_cum, lo_sp, hi_sp)
         x_sub = _slice_polyline(x_pts, x_cum, lo_x, hi_x)
+        x_sub_edges = _slice_edges(x_cum, x_edges, lo_x, hi_x)
         inside = tuple(rec for lo, hi, rec in pieces if lo_sp <= lo and hi <= hi_sp)
         x_run = {
             e
@@ -498,14 +517,16 @@ def coincidence_decomposition(sp: PolylineWalk, x: CrossingPath) -> CoincidenceD
             rec.kind == EDGE_COLLINEAR and rec.edge in x_run for rec in inside
         ):
             edge = inside[0].edge
-            polygons.append(GapPolygon(1, edge[0], sp_sub, x_sub, (edge,), True, inside))
+            polygons.append(
+                GapPolygon(1, edge[0], sp_sub, x_sub, x_sub_edges, (edge,), True, inside)
+            )
             continue
         contacts = [located[p] for rec in inside for p in (rec.entry, rec.exit)]
         on_x = {
             c for c, arc in zip(x.corners, x_cum) if lo_x - _ARC_TOL <= arc <= hi_x + _ARC_TOL
         }
         kind, pivot, cut = _classify(contacts, on_x)
-        polygons.append(GapPolygon(kind, pivot, sp_sub, x_sub, cut, False, inside))
+        polygons.append(GapPolygon(kind, pivot, sp_sub, x_sub, x_sub_edges, cut, False, inside))
     return CoincidenceDecomposition(tuple(polygons), sp)
 
 
@@ -611,18 +632,16 @@ def _p2_equalized(
     across2 = next(c for c in edge_cells(e2) if c != shortcut_cell)
     if prev_cell != across1 or next_cell != across2:
         raise EqualizeError("traversal neighbours do not face the cut edges")
-    ratio = _edge_run_cost(equalized, gap.x_points) / walk_cost(equalized, gap.pieces)
+    ratio = _edge_run_cost(equalized, gap.x_points, gap.x_edges) / walk_cost(equalized, gap.pieces)
     return ratio, ratio <= RATIO_BOUND + RATIO_TOL
 
 
-def _edge_run_cost(weights: WeightMap, pts: Sequence[Point]) -> float:
-    """Weighted length of a polyline whose every piece lies on one lattice edge."""
+def _edge_run_cost(weights: WeightMap, pts: Sequence[Point], edges: Sequence[Edge]) -> float:
+    """Weighted length of a polyline whose piece k lies on lattice edge edges[k]."""
     total = 0.0
-    for p, q in zip(pts, pts[1:]):
+    for p, q, edge in zip(pts, pts[1:], edges):
         length = math.dist(p, q)
         if length > EPS_GEO:
-            # a quarter of the piece reaches its own edge, but no corner and no other edge
-            _, (edge,) = locate_point(((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0), length / 4.0)
             total += edge_weight(weights, edge) * length
     return total
 
@@ -639,7 +658,7 @@ def per_polygon_ratios(
     out: List[PolygonRatio] = []
     for gap in d.polygons:
         sp_cost = walk_cost(weights, gap.pieces)
-        x_cost = _edge_run_cost(weights, gap.x_points)
+        x_cost = _edge_run_cost(weights, gap.x_points, gap.x_edges)
         if sp_cost <= 1e-12:
             if x_cost > 1e-9:
                 raise DegeneratePolygonError(

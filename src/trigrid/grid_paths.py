@@ -24,12 +24,19 @@ their positions with nonzero and take instead measured slower, on the
 six heads of a grid step and on the hundreds of a deep Steiner level.
 """
 
+import functools
 import math
 from typing import Callable, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .metric import WeightMap, _flat_cells, _padded_weights, corner_hop_table
+from .metric import (
+    HOP_TABLE_CACHE_SIZE,
+    WeightMap,
+    _flat_cells,
+    _padded_weights,
+    corner_hop_table,
+)
 from .tessellation import Corner, Tessellation, adjacent_corners, edge_cells
 
 
@@ -62,10 +69,12 @@ _STEPS = np.array(adjacent_corners((0, 0)))
 _STEP_CELLS = np.array([edge_cells(((0, 0), step)) for step in adjacent_corners((0, 0))])
 
 
-def _grid_arcs(tess: Tessellation, weights: WeightMap) -> Tuple[np.ndarray, np.ndarray]:
-    """(n_corners, 6) heads and costs of every corner's lattice edges.
+# Kept for as many window shapes as hop tables are, least recently used first
+@functools.lru_cache(maxsize=HOP_TABLE_CACHE_SIZE)
+def _grid_layout(tess: Tessellation) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n_corners, 6) heads of every corner's lattice edges, and the padded
+    weight grid's flat indices of the two cells along each edge.
 
-    Cells are read from the padded weight grid the hop tables price from.
     A step off the window is an arc from the corner to itself. Both cells
     along its edge lie outside the window, so it costs infinity and never
     relaxes.
@@ -79,9 +88,24 @@ def _grid_arcs(tess: Tessellation, weights: WeightMap) -> Tuple[np.ndarray, np.n
     cells = _flat_cells(
         tess.cols, cj[:, None, None] + _STEP_CELLS[..., 0], ci[:, None, None] + _STEP_CELLS[..., 1]
     )
-    costs = 2.0 * _padded_weights(weights)[cells].min(axis=2)
     off = heads < 0
     heads[off] = np.nonzero(off)[0]
+    layout = (heads, np.ascontiguousarray(cells[..., 0]), np.ascontiguousarray(cells[..., 1]))
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
+def _grid_arcs(tess: Tessellation, weights: WeightMap) -> Tuple[np.ndarray, np.ndarray]:
+    """(n_corners, 6) heads and costs of every corner's lattice edges.
+
+    The heads and cells come from the shape's cached layout, and the cells
+    are priced from the padded weight grid the hop tables price from.
+    """
+    heads, cells_a, cells_b = _grid_layout(tess)
+    padded = _padded_weights(weights)
+    costs = np.minimum(padded[cells_a], padded[cells_b])
+    costs *= 2.0
     return heads, costs
 
 

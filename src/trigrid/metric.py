@@ -208,15 +208,24 @@ class CornerHopTable:
         ci, cj = tess.corner_array.T
         ai, bi = np.triu_indices(n, k=1)
         dj, di = cj[bi] - cj[ai], ci[bi] - ci[ai]
-        # dj >= 0 and |di| <= cols + 1, so this key is unique per displacement
-        keys = dj * (2 * self.cols + 5) + di
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        walks = [_origin_walk(int(dj[k]), int(di[k])) for k in first]
+        # 0 <= dj <= rows and |di| <= cols + 1, so this key is unique per
+        # displacement and dense in [0, (rows + 1) * span): a presence mask
+        # ranks the displacements in key order, as sorting them would
+        span = 2 * self.cols + 5
+        keys = dj * span + di
+        present = np.zeros((self.rows + 1) * span, dtype=bool)
+        present[keys] = True
+        inverse = np.cumsum(present)[keys] - 1
+        # the distinct keys, decoded: di + cols + 1 lies in [0, span)
+        distinct = np.flatnonzero(present)
+        key_dj = (distinct + (self.cols + 1)) // span
+        key_di = distinct - key_dj * span
+        walks = [_origin_walk(a, b) for a, b in zip(key_dj.tolist(), key_di.tolist())]
         counts = np.array([len(w.lengths) for w in walks], dtype=np.int64)
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         cells_a = np.concatenate([w.cells_a for w in walks])
         cells_b = np.concatenate([w.cells_b for w in walks])
-        _check_padding(tess, dj[first], di[first], starts, cells_a, cells_b)
+        _check_padding(tess, key_dj, key_di, starts, cells_a, cells_b)
 
         per_pair = counts[inverse]
         pair_idx = np.repeat(np.arange(len(ai), dtype=np.int32), per_pair)

@@ -41,7 +41,7 @@ from typing import List, NamedTuple, Tuple
 import numpy as np
 
 from .grid_paths import UnreachableError, _check_endpoints, _frontier_search, _hop_search
-from .metric import WeightMap, corner_hop_table
+from .metric import HOP_TABLE_CACHE_SIZE, WeightMap, corner_hop_table
 from .tessellation import (
     SQRT3,
     Corner,
@@ -74,8 +74,11 @@ def _reference_cell(down: int):
     return offsets, [[verts.index(c) for c in edge] for edge in cell_edges(cell)]
 
 
-# [down, vertex] -> (di, dj); [down, slot] -> (first end, second end)
-_VERTEX_OFFSETS, _SLOT_ENDS = map(np.array, zip(_reference_cell(0), _reference_cell(1)))
+_UP_CELL, _DOWN_CELL = _reference_cell(0), _reference_cell(1)
+# [vertex] -> ((di, dj) in an upward cell, (di, dj) in a downward one)
+_VERTEX_OFFSETS = tuple(zip(_UP_CELL[0], _DOWN_CELL[0]))
+# [down, slot] -> (first end, second end)
+_SLOT_ENDS = np.array((_UP_CELL[1], _DOWN_CELL[1]))
 
 
 def _slot_members(slot: int, per_edge: int) -> np.ndarray:
@@ -302,11 +305,54 @@ class _SteinerGraph:
         return keep + path[-1:]
 
 
+# Kept for as many window shapes as hop tables are, least recently used first
+@functools.lru_cache(maxsize=HOP_TABLE_CACHE_SIZE)
+def _window_support(tess: Tessellation) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The support of the whole window, as if no cell were blocked.
+
+    Returns verts (rows, cols, 3), each cell's cell_vertices as corner
+    ids; ids (rows, cols, 3), each slot's edge in the order cells first see
+    them, row-major and slot by slot; edges (E, 2), each edge's ends in
+    corner order; and up (rows, cols), which cells point upward.
+
+    The order is closed form. A cell's slot 0 is its left edge, which its
+    left neighbour saw first: as slot 2 when that neighbour points down (so
+    the cell points up), as slot 1 when it points up. An upward cell's slot
+    2 is its bottom edge, which the cell below saw first as slot 1. Every
+    other slot sees its edge first. Every call of the shape shares these
+    arrays, and _steiner_support reads them only through gathers, which copy.
+    """
+    rows, cols, grid = tess.rows, tess.cols, tess.corner_grid
+    # a vertex sits at its upward offset in an upward cell and at its
+    # downward one in a downward cell; at the other orientation's offset
+    # i + j is odd and the grid reads -1, so the larger id is the vertex
+    verts = np.empty((rows, cols, 3), dtype=grid.dtype)
+    for v, ((ui, uj), (di, dj)) in enumerate(_VERTEX_OFFSETS):
+        up_at, down_at = grid[uj : uj + rows, ui : ui + cols], grid[dj : dj + rows, di : di + cols]
+        np.maximum(up_at, down_at, out=verts[..., v])
+    up = grid[:rows, :cols] >= 0
+    first = np.ones((rows, cols, 3), dtype=bool)
+    first[:, 1:, 0] = False
+    np.logical_not(up[1:], out=first[1:, :, 2])
+    ids = np.cumsum(first).reshape(rows, cols, 3)
+    ids -= 1
+    # a downward neighbour sees its slots 1 and 2 first, one after the other,
+    # so its slot 2's id is its slot 1's plus one
+    np.add(ids[:, :-1, 1], up[:, 1:], out=ids[:, 1:, 0])
+    np.copyto(ids[1:, :, 2], ids[:-1, :, 1], where=up[1:])
+    edges = verts[..., _SLOT_ENDS[0]][first]
+    edges.sort(axis=1)
+    return verts, ids, edges, up
+
+
 def _steiner_support(tess: Tessellation, weights: WeightMap, level: int) -> _Support:
     """The finite cells and their distinct edges, in first-seen order.
 
-    Refuses a level over MAX_LEVEL, or one whose Steiner graph would exceed
-    MAX_STEINER_NODES, before anything of that size is allocated.
+    Cut from the window's support: a finite cell's slot sees its edge first
+    among the finite cells unless the cell that saw it first in the window
+    (_window_support) is finite too. Refuses a level over MAX_LEVEL, or one
+    whose Steiner graph would exceed MAX_STEINER_NODES, before anything of
+    that size is allocated.
     """
     if level < 0:
         raise ValueError("refinement level must be non-negative")
@@ -315,28 +361,26 @@ def _steiner_support(tess: Tessellation, weights: WeightMap, level: int) -> _Sup
             f"refinement level {level} is over the budget of level {MAX_LEVEL}: "
             "a level's distance table grows as 4**level"
         )
-    cells = np.argwhere(np.isfinite(weights.values))
-    row, col = cells[:, 0], cells[:, 1]
-    offsets = _VERTEX_OFFSETS[(row + col) % 2]
-    verts = tess.corner_grid[row[:, None] + offsets[..., 1], col[:, None] + offsets[..., 0]]
-    # each slot's two vertices, alike in both orientations; ids sort like edge_key
-    a, b = np.moveaxis(verts[:, _SLOT_ENDS[0]], -1, 0)
-    n_corners = len(tess.corners)
-    keys = (np.minimum(a, b) * n_corners + np.maximum(a, b)).ravel()
-    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    edges = np.stack(np.divmod(distinct[order], n_corners), axis=1)
-    slot_edges = rank[inverse].reshape(-1, 3)
+    verts, ids, window_edges, up = _window_support(tess)
+    finite = np.isfinite(weights.values)
+    # the window's first seer of slot 0 is the left neighbour, of an upward
+    # cell's slot 2 the cell below, and of every other slot the cell itself
+    first = np.empty(finite.shape + (3,), dtype=bool)
+    first[...] = finite[..., None]
+    np.greater(first[:, 1:, 0], finite[:, :-1], out=first[:, 1:, 0])
+    np.greater(first[1:, :, 2], up[1:] & finite[:-1], out=first[1:, :, 2])
+    kept = ids[first]
+    rank = np.empty(len(window_edges), dtype=np.intp)
+    rank[kept] = np.arange(len(kept))
     # the per-edge fractions are laid out even with no edges
-    nodes = n_corners + max(len(edges), 1) * (2 ** level - 1)
+    nodes = len(tess.corners) + max(len(kept), 1) * (2 ** level - 1)
     if nodes > MAX_STEINER_NODES:
         raise ValueError(
             f"refinement level {level} needs more than the budget of "
             f"{MAX_STEINER_NODES} Steiner nodes"
         )
-    return _Support(cells, verts, edges, slot_edges)
+    cells = np.transpose(np.nonzero(finite))  # np.argwhere, without its checks
+    return _Support(cells, verts[finite], window_edges[kept], rank[ids[finite]])
 
 
 class _SolveContext:
@@ -388,7 +432,8 @@ class _SolveContext:
             logger.debug("level %d: %d nodes, %d settled, cost %r", level, len(x), settled, cost)
         if math.isinf(cost):
             raise UnreachableError(f"no finite-cost path from {self.s!r} to {self.t!r}")
-        return OracleResult(tuple((x[k], y[k]) for k in path), cost, level, False)
+        # Python floats, so that every layer reading the path does float arithmetic
+        return OracleResult(tuple(zip(x[path].tolist(), y[path].tolist())), cost, level, False)
 
     def refine(self, rel_tol: float) -> Tuple[OracleResult, OracleResult]:
         """refine_until's result, and level 0's, which is SVP's."""

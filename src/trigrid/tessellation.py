@@ -12,13 +12,14 @@ rho = k and |u - k| * sqrt(3) / 2 from the line u = k, and likewise for v.
 A point inside a cell lies in cell (floor(rho), floor(u / 2) + floor(v / 2)).
 locate_point(p, tol) answers in this order of precedence: the corner
 within tol of p, else every edge whose closed segment lies within tol,
-else the cell. The tolerance is an argument: walks locate points at
-EPS_GEO, and a run along an edge is found from its midpoint at a quarter
-of its length.
+else the cell. The tolerance is an argument: the analysis locates the
+points of SP's walk at EPS_GEO.
 
 segment_walk, the one walker, cuts a segment where it crosses lattice
 lines. One on a line is cut by the other two families, which meet it only
-at its corners, and snaps those events to the corners at 2 * EPS_GEO.
+at its corners, and snaps those events to the corners at 2 * EPS_GEO. The
+snap asks only locate_point's first question, whether a corner lies
+within the tolerance.
 
 Geometric predicates, locate_point among them, work on the unbounded
 lattice; the Tessellation class adds the rows x cols window of cells that
@@ -166,10 +167,10 @@ def locate_point(p: Point, tol: float):
     (j, i) of their ends, and otherwise the cell whose interior holds p.
     The window plays no part.
     """
+    corner = _corner_within(p, tol)
+    if corner is not None:
+        return ("corner", corner)
     rho, u, v = _affine(p)
-    i, j = round(p[0]), round(rho)
-    if (i + j) % 2 == 0 and math.dist(p, (i, j * SQRT3)) <= tol:
-        return ("corner", (i, j))
     edges = []
     for (fam, step, scale), a in zip(_FAMILIES, (rho, u, v)):
         k = step * round(a / step)
@@ -178,6 +179,16 @@ def locate_point(p: Point, tol: float):
     if edges:
         return ("edges", tuple(sorted(edges, key=lambda e: (e[0][1], e[0][0], e[1][1], e[1][0]))))
     return ("cell", _cell_at(rho, u, v))
+
+
+def _corner_within(p: Point, tol: float) -> Optional[Corner]:
+    """The corner at p's rounded x and rho, if it is one and lies within
+    Euclidean distance tol of p. locate_point and the walker's snap both
+    ask this first."""
+    i, j = round(p[0]), round(p[1] / SQRT3)
+    if (i + j) % 2 == 0 and math.dist(p, (i, j * SQRT3)) <= tol:
+        return (i, j)
+    return None
 
 
 def _cell_at(rho: float, u: float, v: float) -> Cell:
@@ -273,8 +284,10 @@ def segment_walk(p: Point, q: Point) -> List[WalkRecord]:
     Pieces of at most EPS_GEO are dropped and p and q are kept exact. A
     non-finite endpoint coordinate raises ValueError, and so does a segment
     whose lattice-line crossings, counted in closed form before any is
-    traced, would make more than MAX_WALK_PIECES pieces.
+    traced, would make more than MAX_WALK_PIECES pieces. Records hold
+    Python floats, whatever numeric type p and q have.
     """
+    p, q = (float(p[0]), float(p[1])), (float(q[0]), float(q[1]))
     length = math.dist(p, q)
     if not math.isfinite(length):
         raise ValueError(f"segment endpoints must be finite: {p!r}, {q!r}")
@@ -315,8 +328,8 @@ def _pieces(p: Point, q: Point, events: List[float], snap: float):
     points = [p]
     for t in events[1:-1]:
         point = _lerp(p, q, t)
-        kind, where = locate_point(point, snap)
-        points.append(corner_position(where) if kind == "corner" else point)
+        corner = _corner_within(point, snap)
+        points.append(point if corner is None else corner_position(corner))
     points.append(q)
     return [
         (a, b, ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))

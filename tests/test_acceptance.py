@@ -14,6 +14,7 @@ import pytest
 
 from trigrid.analysis import (
     RATIO_BOUND,
+    coincidence_decomposition,
     crossing_path,
     ratio_report,
     search_p2_anomaly,
@@ -26,11 +27,13 @@ from trigrid.instances import GenerationError, gen_random, gen_strip, gen_two_we
 from trigrid.metric import segment_cost
 from trigrid.oracle import approx_shortest_path, refine_until
 from trigrid.tessellation import (
+    EPS_GEO,
     SQRT3,
     Tessellation,
     are_adjacent,
     cell_edges,
     corner_position,
+    locate_point,
 )
 from trigrid.metric import WeightMap
 from test_analysis import law_of_cosines_dist
@@ -151,6 +154,25 @@ def test_criterion_5_per_polygon_bounds(sweep):
         f"[acceptance] 5 per-polygon bounds: PASS ({counted} polygons, "
         f"{equalized} P2 equalized, {logged_only} P2 logged only)"
     )
+
+
+def test_pocket_x_edges_are_the_edges_a_midpoint_lookup_finds(sweep):
+    # pockets carry the edge under each piece of their X side; the pricing
+    # found it by locating the piece's midpoint at a quarter of its length
+    instances, reports, _ = sweep
+    pieces = 0
+    for inst, rep in zip(instances, reports):
+        sp = walk_polyline(rep.sp_path)
+        for gap in coincidence_decomposition(sp, crossing_path(sp, inst.weights)).polygons:
+            assert len(gap.x_edges) == len(gap.x_points) - 1
+            for p, q, edge in zip(gap.x_points, gap.x_points[1:], gap.x_edges):
+                length = math.dist(p, q)
+                if length > EPS_GEO:
+                    mid = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
+                    assert locate_point(mid, length / 4.0) == ("edges", (edge,))
+                    pieces += 1
+    assert pieces > len(reports)
+    print(f"[acceptance] pocket X edges on {len(reports)} instances: PASS ({pieces} pieces)")
 
 
 def test_criterion_6_law_of_cosines_embedding():

@@ -27,6 +27,7 @@ from trigrid.analysis import (
     _edge_run_cost,
     _equalize_core,
     _point_at,
+    _slice_edges,
     _slice_polyline,
     _visit_sequence,
     coincidence_decomposition,
@@ -199,6 +200,25 @@ class TestCoincidence:
         assert d.polygons[0].sp_points[-1] == pytest.approx((2.0, 2.0 * SQRT3), abs=1e-9)
         assert [g.kind for g in d.polygons] == [3, 3]
         assert [g.pivot for g in d.polygons] == [(3, 1), (3, 3)]
+
+    def test_slices_of_a_corner_walk_keep_the_edge_under_each_piece(self):
+        corners = ((0, 0), (2, 0), (3, 1), (5, 1))
+        pts = [corner_position(c) for c in corners]
+        cum = _cum_lengths(pts)
+        edges = [edge_key(a, b) for a, b in zip(corners, corners[1:])]
+        for lo, hi, want in (
+            (0.5, 5.5, edges),
+            (1.0, 3.0, edges[:2]),
+            (2.5, 3.5, edges[1:2]),
+            # a slice from just short of a corner keeps no vertex: its one
+            # piece runs along the edge past the corner
+            (cum[1] - 5e-10, cum[1] + 1.0, edges[1:2]),
+            (cum[2] - 1.0, cum[2] + 5e-10, edges[1:2]),
+            (0.0, cum[-1], edges),
+        ):
+            got = _slice_edges(cum, edges, lo, hi)
+            assert got == tuple(want), (lo, hi)
+            assert len(got) == len(_slice_polyline(pts, cum, lo, hi)) - 1
 
 
 class TestClassifyPolygon:
@@ -446,6 +466,7 @@ class TestDegenerateAndMediant:
             pivot=(2, 0),
             sp_points=((2.0, 0.0), (2.0, 0.0)),
             x_points=((2.0, 0.0), (3.0, SQRT3), (4.0, 0.0)),
+            x_edges=(((2, 0), (3, 1)), ((3, 1), (4, 0))),
             cut_edges=(),
             shared=False,
             pieces=(),
@@ -512,7 +533,7 @@ class TestRatioReport:
 
     def test_locates_each_sp_point_once(self, monkeypatch):
         # the walk locates every vertex and piece end of SP, and no other
-        # layer asks again; pricing X's edge runs asks with a wider tolerance
+        # layer asks again: pockets price X's side from the edges they carry
         tess, w = random_instance(4)
         s, t = far_endpoints(tess)
         calls = []
@@ -528,6 +549,7 @@ class TestRatioReport:
         walks = [segment_walk(a, b) for a, b in zip(sp, sp[1:])]
         ends = [q for walk in walks for rec in walk for q in (rec.entry, rec.exit)]
         assert Counter(p for p, tol in calls if tol == EPS_GEO) == Counter(set(sp) | set(ends))
+        assert all(tol == EPS_GEO for _, tol in calls)
 
     def test_prices_the_hop_matrix_and_builds_the_support_once(self, monkeypatch):
         # every level, and SVP as level 0, reads one solve context
@@ -832,7 +854,7 @@ def assert_matches_reference(sp, x, w, tess):
     for g, r in zip(d.polygons, per_polygon_ratios(d, w, tess)):
         sp_cost, x_cost = ref_polyline_cost(w, g.sp_points), ref_polyline_cost(w, g.x_points)
         assert math.isclose(walk_cost(w, g.pieces), sp_cost, rel_tol=1e-12)
-        assert math.isclose(_edge_run_cost(w, g.x_points), x_cost, rel_tol=1e-12)
+        assert math.isclose(_edge_run_cost(w, g.x_points, g.x_edges), x_cost, rel_tol=1e-12)
         ratio, rescue, bound_ok = ref_pocket_ratio(w, g.kind, g.sp_points, sp_cost, x_cost)
         assert math.isclose(r.ratio, ratio, rel_tol=1e-12)
         assert (r.rescue_ratio is None) == (rescue is None)

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigrid.analysis import ratio_report
+from trigrid import metric
 from trigrid.grid_paths import (
+    _STEP_CELLS,
+    _STEPS,
     InvalidCornerError,
     PathResult,
     UnreachableError,
@@ -366,3 +369,30 @@ def test_grid_arcs_price_every_step_by_the_min_rule(rows, cols):
                 assert costs[u, k] == grid_edge_cost(w, corner, step)
             else:
                 assert heads[u, k] == u and costs[u, k] == INF
+
+
+def per_call_grid_arcs(tess, weights):
+    """_grid_arcs as it was built on every call, with no per-shape layout."""
+    ci, cj = tess.corner_array.T
+    padded = np.full((tess.rows + 3, tess.cols + 6), -1)
+    padded[1:-1, 2:-2] = tess.corner_grid
+    heads = padded[cj[:, None] + _STEPS[:, 1] + 1, ci[:, None] + _STEPS[:, 0] + 2]
+    cells = metric._flat_cells(
+        tess.cols, cj[:, None, None] + _STEP_CELLS[..., 0], ci[:, None, None] + _STEP_CELLS[..., 1]
+    )
+    costs = 2.0 * metric._padded_weights(weights)[cells].min(axis=2)
+    off = heads < 0
+    heads[off] = np.nonzero(off)[0]
+    return heads, costs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.floats(0.05, 0.9), st.integers(0, 2**31 - 1))
+def test_grid_arcs_match_a_per_call_build(rows, cols, blocked, seed):
+    # heads and cells come from a layout cached per window shape
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.1, 10.0, size=(rows, cols))
+    vals[rng.random((rows, cols)) < blocked] = INF
+    tess, w = Tessellation(rows, cols), WeightMap(vals)
+    for got, want in zip(_grid_arcs(tess, w), per_call_grid_arcs(tess, w)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -245,6 +245,47 @@ def test_hop_table_keeps_20_bytes_per_piece():
     assert sum(a.nbytes for a in arrays) == 20 * pieces
 
 
+def unique_hop_table(tess):
+    """CornerHopTable's arrays with the displacements found by np.unique."""
+    n = len(tess.corners)
+    ci, cj = tess.corner_array.T
+    ai, bi = np.triu_indices(n, k=1)
+    dj, di = cj[bi] - cj[ai], ci[bi] - ci[ai]
+    keys = dj * (2 * tess.cols + 5) + di
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    walks = [metric._origin_walk(int(dj[k]), int(di[k])) for k in first]
+    counts = np.array([len(w.lengths) for w in walks], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    per_pair = counts[inverse]
+    src = np.repeat((starts[inverse] - (np.cumsum(per_pair) - per_pair)).astype(np.int32), per_pair)
+    src += np.arange(len(src), dtype=np.int32)
+    width = tess.cols + 2 * metric._PAD_COLS
+    shift = np.repeat(metric._flat_cells(tess.cols, cj[ai], ci[ai]).astype(np.int32), per_pair)
+    flat = []
+    for side in ("cells_a", "cells_b"):
+        cells = np.concatenate([getattr(w, side) for w in walks])
+        flat.append((cells[:, 0] * width + cells[:, 1])[src] + shift)
+    return {
+        "pairs": np.stack((ai, bi), axis=1).astype(np.int32),
+        "pair_idx": np.repeat(np.arange(len(ai), dtype=np.int32), per_pair),
+        "lengths": np.concatenate([w.lengths for w in walks])[src],
+        "flat_a": flat[0],
+        "flat_b": flat[1],
+    }
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(1, 1), (1, 2), (1, 9), (2, 1), (9, 1), (12, 12), (16, 16), (24, 24)]
+)
+def test_hop_table_matches_the_np_unique_layout(rows, cols):
+    # the table ranks displacements with a presence mask over their dense keys
+    table = CornerHopTable(Tessellation(rows, cols))
+    for name, want in unique_hop_table(Tessellation(rows, cols)).items():
+        got = getattr(table, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
 def test_hop_table_budget_refuses_big_windows_before_building():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="budget"):

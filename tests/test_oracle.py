@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from trigrid.grid_paths import (
     UnreachableError,
+    _grid_layout,
     shortest_grid_path,
     shortest_vertex_path,
 )
@@ -27,6 +28,7 @@ from trigrid.tessellation import (
     Tessellation,
     adjacent_corners,
     cell_edges,
+    cell_vertices,
     corner_position,
     edge_key,
 )
@@ -198,6 +200,44 @@ def test_node_budget_admits_level_7_on_24x24():
     assert len(tess.corners) + len(support.edges) * (2**7 - 1) < 120_000
     with pytest.raises(ValueError, match="budget"):
         _steiner_support(tess, ones, 12)
+
+
+def unique_support(tess, weights):
+    """_steiner_support as it was built per call, with np.unique ordering the edges."""
+    cells = np.argwhere(np.isfinite(weights.values))
+    ids = [[tess.corner_ids[c] for c in cell_vertices(cell)] for cell in map(tuple, cells.tolist())]
+    verts = np.array(ids, dtype=np.int64).reshape(-1, 3)
+    a, b = np.moveaxis(verts[:, oracle._SLOT_ENDS[0]], -1, 0)
+    n_corners = len(tess.corners)
+    keys = (np.minimum(a, b) * n_corners + np.maximum(a, b)).ravel()
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    edges = np.stack(np.divmod(distinct[order], n_corners), axis=1)
+    return oracle._Support(cells, verts, edges, rank[inverse].reshape(-1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
+def test_steiner_support_matches_the_np_unique_order(rows, cols, blocked, seed):
+    # the support is cut from a per-shape layout whose edge order is closed form
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.1, 10.0, size=(rows, cols))
+    vals[rng.random((rows, cols)) < blocked] = INF
+    tess, w = Tessellation(rows, cols), WeightMap(vals)
+    got, want = _steiner_support(tess, w, 1), unique_support(tess, w)
+    for name, g, x in zip(oracle._Support._fields, got, want):
+        assert g.dtype == x.dtype, name
+        assert g.shape == x.shape and np.array_equal(g, x), name
+    for cell, slots in zip(got.cells.tolist(), got.slot_edges.tolist()):
+        ends = [tuple(tess.corners[k] for k in got.edges[e]) for e in slots]
+        assert ends == list(cell_edges(tuple(cell)))
+
+
+def test_equal_windows_share_one_cached_layout():
+    for layout in (oracle._window_support, _grid_layout, corner_hop_table):
+        assert layout(Tessellation(3, 4)) is layout(Tessellation(3, 4))
 
 
 def fine_coordinates(tess, support, level):
@@ -493,6 +533,36 @@ def test_reference_cases_cover_blocked_cells_and_refinement():
     assert blocked >= 6
     assert refined >= 6
     assert math.isinf(reference_search(*_cut(), 1)[0])
+
+
+def assert_floats(values):
+    for v in values:
+        assert type(v) is float, (type(v), v)
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_results_hold_python_floats(case):
+    # path coordinates came out of numpy arrays as np.float64, and every
+    # layer reading them did numpy scalar arithmetic
+    tess, w, s, t = REFERENCE_CASES[case]()
+    for end in (s, t):
+        res = approx_shortest_path(tess, w, end, end, level=2)
+        assert_floats([c for p in res.path for c in p] + [res.cost])
+        rep = ratio_report(tess, w, end, end)
+        assert_floats([c for p in rep.sp_path for c in p] + list(rep[:8]))
+    try:
+        results = [approx_shortest_path(tess, w, s, t, level=level) for level in range(4)]
+    except UnreachableError:
+        return
+    for res in results + [refine_until(tess, w, s, t)]:
+        assert_floats([c for p in res.path for c in p] + [res.cost])
+    for res in (shortest_grid_path(tess, w, s, t), shortest_vertex_path(tess, w, s, t)):
+        assert_floats([res.cost])
+    rep = ratio_report(tess, w, s, t)
+    assert_floats([c for p in rep.sp_path for c in p] + list(rep[:8]))
+    for poly in rep.polygons:
+        optional = (poly.rescue_ratio, poly.equalized_ratio)
+        assert_floats([poly.ratio] + [v for v in optional if v is not None])
 
 
 def _oracle_messages(caplog):

@@ -1,6 +1,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -124,6 +125,16 @@ def test_walk_collinear_run_splits_at_corners():
 
 def test_walk_zero_length_segment():
     assert segment_walk((0.3, 0.4), (0.3, 0.4)) == []
+
+
+@pytest.mark.parametrize("p, q", [((0, 0), (4, 0)), ((0.5, 0.25), (3, 3.5))])
+def test_walk_records_hold_python_floats(p, q):
+    # numpy scalar endpoints came back in the first entry and the last exit
+    for p, q in ((p, q), (tuple(map(np.float64, p)), tuple(map(np.float64, q)))):
+        records = segment_walk(p, q)
+        assert len(records) > 1
+        for rec in records:
+            assert all(type(c) is float for c in rec.entry + rec.exit), rec
 
 
 def test_walk_snaps_near_corner_crossings():
