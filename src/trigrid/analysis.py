@@ -7,31 +7,30 @@ per-pocket and whole-path ratio bounds. It also houses the closed-form
 ratio constants and a randomized search for configurations whose corner
 path is poor but whose shortcut repair is near-optimal.
 
-SP is walked once per report, by walk_polyline, and every layer reads
-that walk: the crossing path merges its pieces into cell visits, the
-decomposition reads every contact off their ends, and each pocket's SP
-side is priced from its own pieces, its X side from the edges of X it
-runs along, which the pocket carries. The walk also locates each of SP's
-vertices and piece ends once, with locate_point at EPS_GEO, and every
-layer reads that answer instead of locating the point again.
+SP is walked once per report, by walk_polyline, which also merges its
+pieces into cell visits, and every layer reads that walk: the crossing
+path resolves each visit to corners, and the decomposition reads every
+contact off the pieces' ends and cuts each pocket out of SP's pieces and
+X's edges by index, so both sides of a pocket are walk pieces that
+walk_cost prices. The walk also locates each of SP's vertices and piece
+ends once, with locate_point at EPS_GEO, and every layer reads that
+answer instead of locating the point again.
 """
 
-import bisect
 import logging
 import math
 import random
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .grid_paths import shortest_grid_path
-from .metric import WeightMap, edge_weight, grid_edge_cost, segment_cost, walk_cost
+from .metric import WeightMap, grid_edge_cost, segment_cost, walk_cost
 from .oracle import DEFAULT_MAX_LEVEL, DEFAULT_REL_TOL, _SolveContext, approx_shortest_path
 from .tessellation import (
     CORNER_STEPS_CCW,
     EDGE_COLLINEAR,
     EPS_GEO,
-    INTERIOR_CROSSING,
     SQRT3,
     Cell,
     Corner,
@@ -82,7 +81,8 @@ class MalformedPathError(ValueError):
 
 
 class CrossingSegment(NamedTuple):
-    """Corner-path contribution of one cell traversal."""
+    """Corner-path contribution of one cell visit; for a run along an edge,
+    cell is segment_walk's representative of the edge's two cells."""
 
     cell: Cell
     case: str
@@ -101,30 +101,31 @@ class GapPolygon(NamedTuple):
 
     kind counts the pivot-incident edges the inner sub-polyline touches;
     shared pockets are the degenerate kind-1 case where both paths run
-    together and cut_edges holds only the edge they share. x_edges holds
-    the edge of X that each piece of x_points runs along, and pieces are
-    SP's walk pieces inside the pocket.
+    together and cut_edges holds only the edge they share. pieces are SP's
+    walk pieces inside the pocket, and x_pieces its X side, one
+    edge-collinear record per edge of X it runs along.
     """
 
     kind: int
     pivot: Corner
-    sp_points: Tuple[Point, ...]
-    x_points: Tuple[Point, ...]
-    x_edges: Tuple[Edge, ...]
     cut_edges: Tuple[Edge, ...]
     shared: bool
     pieces: Tuple[WalkRecord, ...]
+    x_pieces: Tuple[WalkRecord, ...]
 
 
 class PolylineWalk(NamedTuple):
     """A polyline's segment_walk pieces, unmerged, each as (arclength at
-    its entry, arclength at its exit, record); cum is the arclength at
-    each vertex, and located maps each vertex and piece end to
-    locate_point's answer at EPS_GEO."""
+    its entry, arclength at its exit, record), and its cell visits, the
+    pieces with each run in one cell or along one edge merged; a run
+    along an edge keeps segment_walk's representative cell. cum is the
+    arclength at each vertex, and located maps each vertex and piece end
+    to locate_point's answer at EPS_GEO."""
 
     points: Tuple[Point, ...]
     cum: Tuple[float, ...]
     pieces: Tuple[Tuple[float, float, WalkRecord], ...]
+    visits: Tuple[WalkRecord, ...]
     located: Dict[Point, tuple]
 
 
@@ -208,8 +209,9 @@ def _cum_lengths(pts: Sequence[Point]) -> List[float]:
 
 
 def walk_polyline(points: Sequence[Point]) -> PolylineWalk:
-    """Walk each segment of a polyline once, and locate each distinct
-    vertex and piece end once, for every analysis layer to read."""
+    """Walk each segment of a polyline once, merge its cell visits once,
+    and locate each distinct vertex and piece end once, for every
+    analysis layer to read."""
     pts = tuple(points)
     cum = tuple(_cum_lengths(pts))
     pieces = tuple(
@@ -219,80 +221,23 @@ def walk_polyline(points: Sequence[Point]) -> PolylineWalk:
     )
     ends = (q for _, _, rec in pieces for q in (rec.entry, rec.exit))
     located = {p: locate_point(p, EPS_GEO) for p in dict.fromkeys((*pts, *ends))}
-    return PolylineWalk(pts, cum, pieces, located)
+    return PolylineWalk(pts, cum, pieces, _visit_sequence(rec for _, _, rec in pieces), located)
 
 
-def _point_at(pts: Sequence[Point], cum: Sequence[float], arc: float) -> Point:
-    if arc <= 0.0:
-        return pts[0]
-    if arc >= cum[-1]:
-        return pts[-1]
-    k = 0
-    while cum[k + 1] < arc:
-        k += 1
-    span = cum[k + 1] - cum[k]
-    t = (arc - cum[k]) / span if span > 0.0 else 0.0
-    a, b = pts[k], pts[k + 1]
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-
-
-def _slice_polyline(
-    pts: Sequence[Point], cum: Sequence[float], lo: float, hi: float
-) -> Tuple[Point, ...]:
-    out = [_point_at(pts, cum, lo)]
-    for k in range(1, len(pts) - 1):
-        if lo + 1e-9 < cum[k] < hi - 1e-9:
-            out.append(pts[k])
-    out.append(_point_at(pts, cum, hi))
-    return tuple(out)
-
-
-def _slice_edges(
-    cum: Sequence[float], edges: Sequence[Edge], lo: float, hi: float
-) -> Tuple[Edge, ...]:
-    """The edge under each piece of a corner walk's _slice_polyline from arc
-    lo to arc hi. The slice keeps the vertices first..last - 1, so its pieces
-    run along edges first - 1 to last - 1; with none kept, its one piece runs
-    along the edge that holds its middle arc."""
-    first = max(1, bisect.bisect_right(cum, lo + 1e-9))
-    last = min(len(cum) - 1, bisect.bisect_left(cum, hi - 1e-9))
-    if first < last:
-        return tuple(edges[first - 1 : last])
-    return (edges[min(bisect.bisect_right(cum, (lo + hi) / 2.0), len(edges)) - 1],)
+def _visit_sequence(pieces: Iterable[WalkRecord]) -> Tuple[WalkRecord, ...]:
+    """Cell visits of a walk: its pieces with each run in one cell, or
+    along one edge, merged into one record."""
+    visits: List[WalkRecord] = []
+    for rec in pieces:
+        last = visits[-1] if visits else None
+        if last and (last.kind, last.cell, last.edge) == (rec.kind, rec.cell, rec.edge):
+            visits[-1] = last._replace(exit=rec.exit)
+        else:
+            visits.append(rec)
+    return tuple(visits)
 
 
 # -- crossing path ----------------------------------------------------------
-
-
-def _visit_sequence(weights: WeightMap, walk: PolylineWalk) -> List[WalkRecord]:
-    """Cell visits of a polyline: its walk pieces with interior runs merged.
-
-    Edge-collinear pieces are reassigned to the cheaper in-window side so
-    each visit names the cell whose price the piece actually pays.
-    """
-    records: List[WalkRecord] = []
-    for _, _, rec in walk.pieces:
-        if rec.kind == INTERIOR_CROSSING:
-            if (
-                records
-                and records[-1].kind == INTERIOR_CROSSING
-                and records[-1].cell == rec.cell
-            ):
-                records[-1] = records[-1]._replace(exit=rec.exit)
-                continue
-        else:
-            if (
-                records
-                and records[-1].kind == EDGE_COLLINEAR
-                and records[-1].edge == rec.edge
-            ):
-                records[-1] = records[-1]._replace(exit=rec.exit)
-                continue
-            sides = edge_cells(rec.edge)
-            costs = [(weights.effective(c), c) for c in sides]
-            rec = rec._replace(cell=min(costs)[1])
-        records.append(rec)
-    return records
 
 
 def _on_cell(location: tuple, cell: Cell) -> Tuple[Optional[Corner], List[Edge]]:
@@ -341,7 +286,7 @@ def _visit_case(visit: WalkRecord, located: Dict[Point, tuple]) -> CrossingSegme
     return CrossingSegment(cell, BETWEEN_EDGES, (shared.pop(),))
 
 
-def crossing_path(sp: PolylineWalk, weights: WeightMap) -> CrossingPath:
+def crossing_path(sp: PolylineWalk) -> CrossingPath:
     """Corner walk shadowing a boundary-to-boundary polyline, given its walk.
 
     Every cell visit contributes corners of that cell by a four-way case
@@ -358,8 +303,7 @@ def crossing_path(sp: PolylineWalk, weights: WeightMap) -> CrossingPath:
     (start_kind, start), (end_kind, end) = sp.located[sp.points[0]], sp.located[sp.points[-1]]
     if start_kind != "corner" or end_kind != "corner":
         raise MalformedPathError("polyline must start and end at corners")
-    visits = _visit_sequence(weights, sp)
-    segments = tuple(_visit_case(v, sp.located) for v in visits)
+    segments = tuple(_visit_case(v, sp.located) for v in sp.visits)
     corners: List[Corner] = [start]
     for corner in [c for seg in segments for c in seg.corners] + [end]:
         if corner == corners[-1]:
@@ -392,53 +336,57 @@ def grid_path_cost(weights: WeightMap, corners: Sequence[Corner]) -> float:
 
 def _coincidence_arcs(
     sp: PolylineWalk, x: CrossingPath, x_edges: Sequence[Edge], x_cum: Sequence[float]
-) -> List[Tuple[float, float]]:
-    """Arclength pairs where SP meets X, ordered along both.
+) -> List[tuple]:
+    """Where SP meets X, ordered along both, as (SP's arc, SP's piece
+    boundary, X's arc, X's corner index at or before the contact, the
+    contact point on X).
 
     SP meets X where one of its pieces' ends is located on a corner of X,
-    at that corner's arc, or on an edge of X, at the offset along the edge.
+    at that corner's arc and position, or on an edge of X, at the offset
+    along the edge and at the piece end itself.
     """
     pieces, sp_end = sp.pieces, sp.cum[-1]
-    ends = [(lo, rec.entry) for lo, _, rec in pieces] + [(hi, rec.exit) for _, hi, rec in pieces]
-    events: List[Tuple[float, float]] = []
+    ends = [(lo, b, rec.entry) for b, (lo, _, rec) in enumerate(pieces)]
+    ends += [(hi, b + 1, rec.exit) for b, (_, hi, rec) in enumerate(pieces)]
+    events: List[tuple] = []
     # a point two pieces share is one event
-    for arc, p in dict.fromkeys(ends):
+    for arc, b, p in dict.fromkeys(ends):
         kind, where = sp.located[p]
         if kind == "corner":
-            events += [(arc, x_cum[k]) for k, c in enumerate(x.corners) if c == where]
+            q = corner_position(where)
+            events += [(arc, b, x_cum[k], k, q) for k, c in enumerate(x.corners) if c == where]
         elif kind == "edges":
             events += [
-                (arc, x_cum[k] + math.dist(corner_position(x.corners[k]), p))
+                (arc, b, x_cum[k] + math.dist(corner_position(x.corners[k]), p), k, p)
                 for k, e in enumerate(x_edges)
                 if e in where
             ]
     if not events:
         raise TopologyError("paths never meet; endpoints should coincide")
     events.sort()
-    clusters: List[Tuple[float, List[float]]] = []
-    for arc, xarc in events:
+    clusters: List[Tuple[float, int, List[tuple]]] = []
+    for arc, b, *at_x in events:
         if clusters and arc - clusters[-1][0] <= _ARC_TOL:
-            clusters[-1][1].append(xarc)
+            clusters[-1][2].append(at_x)
         else:
-            clusters.append((arc, [xarc]))
-    out: List[Tuple[float, float]] = []
-    prev = -_ARC_TOL
-    for idx, (arc, xarcs) in enumerate(clusters):
-        xarcs.sort()
+            clusters.append((arc, b, [at_x]))
+    out: List[tuple] = []
+    prev = [-_ARC_TOL]
+    for idx, (arc, b, xs) in enumerate(clusters):
+        xs.sort()
         if idx == len(clusters) - 1:
-            chosen = xarcs[-1]
-            if chosen < prev - _ARC_TOL:
+            chosen = xs[-1]
+            if chosen[0] < prev[0] - _ARC_TOL:
                 raise TopologyError("final coincidence point out of order")
         else:
-            cands = [v for v in xarcs if v >= prev - _ARC_TOL]
-            if not cands:
+            chosen = next((v for v in xs if v[0] >= prev[0] - _ARC_TOL), None)
+            if chosen is None:
                 raise TopologyError("coincidence points out of order along the corner path")
-            chosen = cands[0]
-        out.append((arc, max(chosen, prev)))
-        prev = max(chosen, prev)
-    if out[0][0] > _ARC_TOL or out[0][1] > _ARC_TOL:
+        prev = max(chosen, prev, key=lambda v: v[0])
+        out.append((arc, b, *prev))
+    if out[0][0] > _ARC_TOL or out[0][2] > _ARC_TOL:
         raise TopologyError("paths do not coincide at the source")
-    if sp_end - out[-1][0] > _ARC_TOL or x_cum[-1] - out[-1][1] > _ARC_TOL:
+    if sp_end - out[-1][0] > _ARC_TOL or x_cum[-1] - out[-1][2] > _ARC_TOL:
         raise TopologyError("paths do not coincide at the target")
     return out
 
@@ -492,41 +440,37 @@ def coincidence_decomposition(sp: PolylineWalk, x: CrossingPath) -> CoincidenceD
     """Full pocket decomposition of the region between SP, given its walk, and X.
 
     Every contact is read off the ends of SP's walk pieces: where it meets
-    X, and which edges a pocket touches. A pocket is shared when its length
-    matches X's and each of its pieces runs along an edge of X in the
-    pocket; its pivot and cut edge come from its first piece's edge.
+    X, and which edges a pocket touches. Each pocket takes SP's pieces
+    between its two contacts, and X's edges between them as its X side. A
+    pocket is shared when its length matches X's and each of its pieces
+    runs along an edge of its X side; its pivot and cut edge come from its
+    first piece's edge.
     """
-    sp_pts, sp_cum, pieces, located = sp
-    x_pts = tuple(corner_position(c) for c in x.corners)
-    x_cum = _cum_lengths(x_pts)
+    x_cum = _cum_lengths([corner_position(c) for c in x.corners])
     x_edges = [edge_key(a, b) for a, b in zip(x.corners, x.corners[1:])]
-    arcs = _coincidence_arcs(sp, x, x_edges, x_cum)
+    contacts = _coincidence_arcs(sp, x, x_edges, x_cum)
     polygons: List[GapPolygon] = []
-    for k in range(len(arcs) - 1):
-        (lo_sp, lo_x), (hi_sp, hi_x) = arcs[k], arcs[k + 1]
-        sp_sub = _slice_polyline(sp_pts, sp_cum, lo_sp, hi_sp)
-        x_sub = _slice_polyline(x_pts, x_cum, lo_x, hi_x)
-        x_sub_edges = _slice_edges(x_cum, x_edges, lo_x, hi_x)
-        inside = tuple(rec for lo, hi, rec in pieces if lo_sp <= lo and hi <= hi_sp)
-        x_run = {
-            e
-            for j, e in enumerate(x_edges)
-            if x_cum[j] < hi_x - _ARC_TOL and x_cum[j + 1] > lo_x + _ARC_TOL
-        }
+    for (lo_sp, b0, lo_x, j0, q0), (hi_sp, b1, hi_x, j1, q1) in zip(contacts, contacts[1:]):
+        inside = tuple(rec for _, _, rec in sp.pieces[b0:b1])
+        x_pts = [q0, *(corner_position(c) for c in x.corners[j0 + 1 : j1 + 1]), q1]
+        # piece m runs along edge j0 + m; past X's last corner there is no
+        # edge, and no length either
+        x_side = tuple(
+            WalkRecord(edge_cells(e)[0], a, b, EDGE_COLLINEAR, e)
+            for a, b, e in zip(x_pts, x_pts[1:], x_edges[j0:])
+            if a != b
+        )
+        x_run = {rec.edge for rec in x_side}
         if abs((hi_sp - lo_sp) - (hi_x - lo_x)) <= _ARC_TOL and all(
             rec.kind == EDGE_COLLINEAR and rec.edge in x_run for rec in inside
         ):
             edge = inside[0].edge
-            polygons.append(
-                GapPolygon(1, edge[0], sp_sub, x_sub, x_sub_edges, (edge,), True, inside)
-            )
+            polygons.append(GapPolygon(1, edge[0], (edge,), True, inside, x_side))
             continue
-        contacts = [located[p] for rec in inside for p in (rec.entry, rec.exit)]
-        on_x = {
-            c for c, arc in zip(x.corners, x_cum) if lo_x - _ARC_TOL <= arc <= hi_x + _ARC_TOL
-        }
-        kind, pivot, cut = _classify(contacts, on_x)
-        polygons.append(GapPolygon(kind, pivot, sp_sub, x_sub, x_sub_edges, cut, False, inside))
+        located = [sp.located[p] for rec in inside for p in (rec.entry, rec.exit)]
+        on_x = {c for c in x.corners[j0 : j1 + 1] if corner_position(c) in x_pts}
+        kind, pivot, cut = _classify(located, on_x)
+        polygons.append(GapPolygon(kind, pivot, cut, False, inside, x_side))
     return CoincidenceDecomposition(tuple(polygons), sp)
 
 
@@ -557,13 +501,21 @@ def _equalize_core(
 ) -> Tuple[WeightMap, Cell, Cell]:
     """Freeze the path's corridor and reprice cell to its neighbour sum.
 
-    visits are the path's cell visits under weights. Cells it never pays
-    for become unreachable, and cell's weight becomes the sum of the
-    weights of its predecessor and successor, returned with the new map.
+    visits are the path's cell visits; a run along an edge pays for the
+    cheaper of the edge's two cells, the lower (row, col) on a tie. Cells
+    the path never pays for become unreachable, and cell's weight becomes
+    the sum of the weights of its predecessor and successor, returned with
+    the new map.
     """
     if not tess.in_domain(cell):
         raise ValueError(f"cell outside the window: {cell!r}")
-    hits = [k for k, v in enumerate(visits) if v.cell == cell]
+    paid = [
+        min(edge_cells(v.edge), key=lambda c: (weights.effective(c), c))
+        if v.kind == EDGE_COLLINEAR
+        else v.cell
+        for v in visits
+    ]
+    hits = [k for k, c in enumerate(paid) if c == cell]
     if not hits:
         raise EqualizeError(f"cell {cell!r} is not traversed")
     if len(hits) > 1:
@@ -573,7 +525,7 @@ def _equalize_core(
         raise EqualizeError(f"cell {cell!r} has no predecessor on the path")
     if k == len(visits) - 1:
         raise EqualizeError(f"cell {cell!r} has no successor on the path")
-    prev_cell, next_cell = visits[k - 1].cell, visits[k + 1].cell
+    prev_cell, next_cell = paid[k - 1], paid[k + 1]
     alpha, beta = weights.effective(prev_cell), weights.effective(next_cell)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise EqualizeError("neighbour weight is not finite")
@@ -626,24 +578,13 @@ def _p2_equalized(
         for rec in gap.pieces
     ):
         raise EqualizeError("inner path leaves the shortcut cell")
-    visits = _visit_sequence(weights, d.sp)
-    equalized, prev_cell, next_cell = _equalize_core(weights, visits, shortcut_cell, tess)
+    equalized, prev_cell, next_cell = _equalize_core(weights, d.sp.visits, shortcut_cell, tess)
     across1 = next(c for c in edge_cells(e1) if c != shortcut_cell)
     across2 = next(c for c in edge_cells(e2) if c != shortcut_cell)
     if prev_cell != across1 or next_cell != across2:
         raise EqualizeError("traversal neighbours do not face the cut edges")
-    ratio = _edge_run_cost(equalized, gap.x_points, gap.x_edges) / walk_cost(equalized, gap.pieces)
+    ratio = walk_cost(equalized, gap.x_pieces) / walk_cost(equalized, gap.pieces)
     return ratio, ratio <= RATIO_BOUND + RATIO_TOL
-
-
-def _edge_run_cost(weights: WeightMap, pts: Sequence[Point], edges: Sequence[Edge]) -> float:
-    """Weighted length of a polyline whose piece k lies on lattice edge edges[k]."""
-    total = 0.0
-    for p, q, edge in zip(pts, pts[1:], edges):
-        length = math.dist(p, q)
-        if length > EPS_GEO:
-            total += edge_weight(weights, edge) * length
-    return total
 
 
 def per_polygon_ratios(
@@ -658,7 +599,7 @@ def per_polygon_ratios(
     out: List[PolygonRatio] = []
     for gap in d.polygons:
         sp_cost = walk_cost(weights, gap.pieces)
-        x_cost = _edge_run_cost(weights, gap.x_points, gap.x_edges)
+        x_cost = walk_cost(weights, gap.x_pieces)
         if sp_cost <= 1e-12:
             if x_cost > 1e-9:
                 raise DegeneratePolygonError(
@@ -672,7 +613,7 @@ def per_polygon_ratios(
                 PolygonRatio(gap.kind, gap.pivot, ratio, ratio <= RATIO_BOUND + RATIO_TOL)
             )
             continue
-        rescue = segment_cost(weights, gap.sp_points[0], gap.sp_points[-1]) / sp_cost
+        rescue = segment_cost(weights, gap.pieces[0].entry, gap.pieces[-1].exit) / sp_cost
         bound_ok = min(ratio, rescue) <= RATIO_BOUND + RATIO_TOL
         try:
             eq_ratio, eq_ok = _p2_equalized(gap, d, weights, tess)
@@ -713,7 +654,7 @@ def ratio_report(
         return RatioReport(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, (0,) * 6, 0, True, (), oracle.path)
     sgp = shortest_grid_path(tess, weights, s, t)
     sp = walk_polyline(oracle.path)
-    x = crossing_path(sp, weights)
+    x = crossing_path(sp)
     x_cost = grid_path_cost(weights, x.corners)
     decomposition = coincidence_decomposition(sp, x)
     polygons = per_polygon_ratios(decomposition, weights, tess)
@@ -785,7 +726,7 @@ def search_p2_anomaly(seed: int, trials: int) -> AnomalyResult:
         sample = (wa, wm, wb)
         weights = build(sample)
         probe = approx_shortest_path(tess, weights, s, t, level=3)
-        x = crossing_path(walk_polyline(probe.path), weights)
+        x = crossing_path(walk_polyline(probe.path))
         raw = grid_path_cost(weights, x.corners) / probe.cost
         if raw > best_raw:
             best_raw, best_sample = raw, sample
@@ -794,7 +735,7 @@ def search_p2_anomaly(seed: int, trials: int) -> AnomalyResult:
     # dip only appears once the sample spacing is fine enough, so early
     # levels tie and its stopping rule fires; solve at full depth instead
     oracle = approx_shortest_path(tess, weights, s, t, level=DEFAULT_MAX_LEVEL)
-    x = crossing_path(walk_polyline(oracle.path), weights)
+    x = crossing_path(walk_polyline(oracle.path))
     x_cost = grid_path_cost(weights, x.corners)
     shortcut_cost = min(
         (grid_path_cost(weights, sc.corners) for sc in shortcut_paths(x, tess)),

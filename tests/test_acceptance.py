@@ -5,6 +5,7 @@ The sweep fixtures are module scoped; several tests share one instance
 corpus and its reports.
 """
 
+import itertools
 import math
 import random
 import time
@@ -33,6 +34,7 @@ from trigrid.tessellation import (
     are_adjacent,
     cell_edges,
     corner_position,
+    edge_key,
     locate_point,
 )
 from trigrid.metric import WeightMap
@@ -123,7 +125,7 @@ def test_criterion_3_solver_ordering(sweep):
 def test_criterion_4_crossing_path_machinery(sweep):
     instances, reports, _ = sweep
     for inst, rep in zip(instances, reports):
-        x = crossing_path(walk_polyline(rep.sp_path), inst.weights)
+        x = crossing_path(walk_polyline(rep.sp_path))
         assert x.corners[0] == inst.source
         assert x.corners[-1] == inst.target
         for a, b in zip(x.corners, x.corners[1:]):
@@ -156,23 +158,47 @@ def test_criterion_5_per_polygon_bounds(sweep):
     )
 
 
-def test_pocket_x_edges_are_the_edges_a_midpoint_lookup_finds(sweep):
-    # pockets carry the edge under each piece of their X side; the pricing
-    # found it by locating the piece's midpoint at a quarter of its length
-    instances, reports, _ = sweep
-    pieces = 0
-    for inst, rep in zip(instances, reports):
+@pytest.fixture(scope="module")
+def decompositions(sweep):
+    """Each sweep report's crossing path and pocket decomposition."""
+    _, reports, _ = sweep
+    out = []
+    for rep in reports:
         sp = walk_polyline(rep.sp_path)
-        for gap in coincidence_decomposition(sp, crossing_path(sp, inst.weights)).polygons:
-            assert len(gap.x_edges) == len(gap.x_points) - 1
-            for p, q, edge in zip(gap.x_points, gap.x_points[1:], gap.x_edges):
-                length = math.dist(p, q)
-                if length > EPS_GEO:
-                    mid = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-                    assert locate_point(mid, length / 4.0) == ("edges", (edge,))
-                    pieces += 1
-    assert pieces > len(reports)
-    print(f"[acceptance] pocket X edges on {len(reports)} instances: PASS ({pieces} pieces)")
+        x = crossing_path(sp)
+        out.append((x, coincidence_decomposition(sp, x)))
+    return out
+
+
+def test_pocket_x_edges_are_the_edges_a_midpoint_lookup_finds(decompositions):
+    # each piece of a pocket's X side carries the edge under it; the pricing
+    # once found it by locating the piece's midpoint at a quarter of its length
+    pieces = 0
+    for _, d in decompositions:
+        for rec in (rec for gap in d.polygons for rec in gap.x_pieces):
+            length = math.dist(rec.entry, rec.exit)
+            if length > EPS_GEO:
+                mid = ((rec.entry[0] + rec.exit[0]) / 2.0, (rec.entry[1] + rec.exit[1]) / 2.0)
+                assert locate_point(mid, length / 4.0) == ("edges", (rec.edge,))
+                pieces += 1
+    assert pieces > len(decompositions)
+    print(f"[acceptance] pocket X edges on {len(decompositions)} instances: PASS ({pieces} pieces)")
+
+
+def test_pocket_x_sides_tile_the_crossing_path(decompositions):
+    # the pockets' X sides, one after another, run along X's edges in order
+    # and add up to X's length, as their SP sides add up to SP's walk
+    for x, d in decompositions:
+        x_pieces = [rec for gap in d.polygons for rec in gap.x_pieces]
+        assert x_pieces[0].entry == corner_position(x.corners[0])
+        assert x_pieces[-1].exit == corner_position(x.corners[-1])
+        for a, b in zip(x_pieces, x_pieces[1:]):
+            assert a.exit == b.entry
+        edges = [edge for edge, _ in itertools.groupby(rec.edge for rec in x_pieces)]
+        assert edges == [edge_key(a, b) for a, b in zip(x.corners, x.corners[1:])]
+        length = math.fsum(math.dist(rec.entry, rec.exit) for rec in x_pieces)
+        assert abs(length - 2.0 * (len(x.corners) - 1)) <= 1e-12
+    print(f"[acceptance] pocket X sides tile X on {len(decompositions)} instances: PASS")
 
 
 def test_criterion_6_law_of_cosines_embedding():

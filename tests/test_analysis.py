@@ -24,12 +24,7 @@ from trigrid.analysis import (
     TopologyError,
     _classify,
     _cum_lengths,
-    _edge_run_cost,
     _equalize_core,
-    _point_at,
-    _slice_edges,
-    _slice_polyline,
-    _visit_sequence,
     coincidence_decomposition,
     crossing_path,
     grid_path_cost,
@@ -77,14 +72,14 @@ def random_instance(seed, rows=3, cols=4, inf_prob=0.1):
     return Tessellation(rows, cols), WeightMap(values)
 
 
-def visits(w, sp):
-    """The cell visits of polyline sp under w."""
-    return _visit_sequence(w, walk_polyline(sp))
+def visits(sp):
+    """The cell visits of polyline sp."""
+    return walk_polyline(sp).visits
 
 
 def contact_points(d):
     """Where SP meets X: the ends of the pockets' inner paths."""
-    return [g.sp_points[0] for g in d.polygons] + [d.polygons[-1].sp_points[-1]]
+    return [g.pieces[0].entry for g in d.polygons] + [d.polygons[-1].pieces[-1].exit]
 
 
 def far_endpoints(tess):
@@ -125,7 +120,7 @@ class TestCrossingPath:
     def test_strip_zigzag(self):
         tess, w, s, t = strip(2)
         oracle = refine_until(tess, w, s, t)
-        x = crossing_path(walk_polyline(oracle.path), w)
+        x = crossing_path(walk_polyline(oracle.path))
         assert x.corners == ((2, 0), (3, 1), (2, 2), (3, 3), (2, 4))
         assert grid_path_cost(w, x.corners) == pytest.approx(8.0, abs=1e-12)
         assert [seg.case for seg in x.segments] == [
@@ -136,32 +131,25 @@ class TestCrossingPath:
         ]
 
     def test_grid_path_maps_to_itself(self):
-        tess = Tessellation(1, 4)
-        w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         walk = ((0, 0), (2, 0), (3, 1))
         sp = [corner_position(c) for c in walk]
-        x = crossing_path(walk_polyline(sp), w)
+        x = crossing_path(walk_polyline(sp))
         assert x.corners == walk
         assert all(seg.case == "same-edge" for seg in x.segments)
 
     def test_collinear_pieces_of_one_edge_merge(self):
-        tess, w, s, t = corridor_weights(2.0, 1.5, 3.0)
         y = 2.0 * SQRT3
         sp = [(0.0, y), (0.5, y), (1.3, y), (2.0, y), (3.1, y), (4.0, y)]
-        x = crossing_path(walk_polyline(sp), w)
+        x = crossing_path(walk_polyline(sp))
         assert x.corners == ((0, 2), (2, 2), (4, 2))
 
     def test_rejects_vertex_inside_a_cell(self):
-        tess = Tessellation(1, 4)
-        w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         with pytest.raises(MalformedPathError):
-            crossing_path(walk_polyline([(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)]), w)
+            crossing_path(walk_polyline([(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)]))
 
     def test_rejects_endpoint_off_corner(self):
-        tess = Tessellation(1, 4)
-        w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         with pytest.raises(MalformedPathError):
-            crossing_path(walk_polyline([(1.0, 0.0), (2.0, 0.0)]), w)
+            crossing_path(walk_polyline([(1.0, 0.0), (2.0, 0.0)]))
 
 
 class TestCoincidence:
@@ -169,11 +157,11 @@ class TestCoincidence:
         tess, w, s, t = strip(1)
         oracle = refine_until(tess, w, s, t)
         sp_walk = walk_polyline(oracle.path)
-        x = crossing_path(sp_walk, w)
+        x = crossing_path(sp_walk)
         d = coincidence_decomposition(sp_walk, x)
         (gap,) = d.polygons
-        assert gap.sp_points[0] == pytest.approx((2.0, 0.0), abs=1e-9)
-        assert gap.sp_points[-1] == pytest.approx((2.0, 2.0 * SQRT3), abs=1e-9)
+        assert gap.pieces[0].entry == pytest.approx((2.0, 0.0), abs=1e-9)
+        assert gap.pieces[-1].exit == pytest.approx((2.0, 2.0 * SQRT3), abs=1e-9)
 
     def test_identical_paths_meet_at_every_vertex(self):
         tess = Tessellation(1, 4)
@@ -181,7 +169,7 @@ class TestCoincidence:
         walk = ((0, 0), (2, 0), (3, 1))
         sp = [corner_position(c) for c in walk]
         sp_walk = walk_polyline(sp)
-        x = crossing_path(sp_walk, w)
+        x = crossing_path(sp_walk)
         d = coincidence_decomposition(sp_walk, x)
         assert len(d.polygons) == 2
         for point, corner in zip(contact_points(d), walk):
@@ -194,31 +182,12 @@ class TestCoincidence:
         tess, w, s, t = strip(2)
         oracle = refine_until(tess, w, s, t)
         sp_walk = walk_polyline(oracle.path)
-        x = crossing_path(sp_walk, w)
+        x = crossing_path(sp_walk)
         d = coincidence_decomposition(sp_walk, x)
         assert len(d.polygons) == 2
-        assert d.polygons[0].sp_points[-1] == pytest.approx((2.0, 2.0 * SQRT3), abs=1e-9)
+        assert d.polygons[0].pieces[-1].exit == pytest.approx((2.0, 2.0 * SQRT3), abs=1e-9)
         assert [g.kind for g in d.polygons] == [3, 3]
         assert [g.pivot for g in d.polygons] == [(3, 1), (3, 3)]
-
-    def test_slices_of_a_corner_walk_keep_the_edge_under_each_piece(self):
-        corners = ((0, 0), (2, 0), (3, 1), (5, 1))
-        pts = [corner_position(c) for c in corners]
-        cum = _cum_lengths(pts)
-        edges = [edge_key(a, b) for a, b in zip(corners, corners[1:])]
-        for lo, hi, want in (
-            (0.5, 5.5, edges),
-            (1.0, 3.0, edges[:2]),
-            (2.5, 3.5, edges[1:2]),
-            # a slice from just short of a corner keeps no vertex: its one
-            # piece runs along the edge past the corner
-            (cum[1] - 5e-10, cum[1] + 1.0, edges[1:2]),
-            (cum[2] - 1.0, cum[2] + 5e-10, edges[1:2]),
-            (0.0, cum[-1], edges),
-        ):
-            got = _slice_edges(cum, edges, lo, hi)
-            assert got == tuple(want), (lo, hi)
-            assert len(got) == len(_slice_polyline(pts, cum, lo, hi)) - 1
 
 
 class TestClassifyPolygon:
@@ -234,7 +203,7 @@ class TestClassifyPolygon:
         tess, w, s, t = strip(1)
         oracle = refine_until(tess, w, s, t)
         sp_walk = walk_polyline(oracle.path)
-        x = crossing_path(sp_walk, w)
+        x = crossing_path(sp_walk)
         d = coincidence_decomposition(sp_walk, x)
         (gap,) = d.polygons
         assert (gap.kind, gap.pivot, gap.shared) == (3, (3, 1), False)
@@ -246,7 +215,7 @@ def decomposition():
     w = WeightMap([[4.0, 1.0, 4.0, 4.0]])
     res = approx_shortest_path(tess, w, (0, 0), (4, 0), level=3)
     sp_walk = walk_polyline(res.path)
-    x = crossing_path(sp_walk, w)
+    x = crossing_path(sp_walk)
     return tess, w, res, x, coincidence_decomposition(sp_walk, x)
 
 
@@ -282,7 +251,7 @@ class TestRefractionPockets:
         gap = d.polygons[0]
         assert gap.kind == 2
         # the pivot legs a and b of the pocket and its chord c
-        u0, u1, pv = gap.sp_points[0], gap.sp_points[-1], corner_position(gap.pivot)
+        u0, u1, pv = gap.pieces[0].entry, gap.pieces[-1].exit, corner_position(gap.pivot)
         a, b, c = math.dist(u0, pv), math.dist(pv, u1), math.dist(u0, u1)
         assert law_of_cosines_dist(a, b) == pytest.approx(c, abs=1e-9)
 
@@ -300,7 +269,7 @@ def pockets():
         (4.0, 0.0),
     )
     sp_walk = walk_polyline(sp)
-    x = crossing_path(sp_walk, w)
+    x = crossing_path(sp_walk)
     d = coincidence_decomposition(sp_walk, x)
     return tess, w, s1, s2, x, d
 
@@ -355,9 +324,9 @@ class TestCornerCutPocket:
         # edge opposite the pivot and back
         tess, w, _, _, _, d = pockets
         cut = d.polygons[1]
-        u0, u1 = cut.sp_points[0], cut.sp_points[-1]
+        u0, u1 = cut.pieces[0].entry, cut.pieces[-1].exit
         sp = walk_polyline((u0, (1.5, SQRT3), (2.0, 2.0 * SQRT3), (2.5, SQRT3), u1))
-        gap = cut._replace(sp_points=sp.points, pieces=tuple(rec for _, _, rec in sp.pieces))
+        gap = cut._replace(pieces=tuple(rec for _, _, rec in sp.pieces))
         (r,) = per_polygon_ratios(d._replace(polygons=(gap,), sp=sp), w, tess)
         assert r.note == "inner path leaves the shortcut cell"
 
@@ -372,7 +341,7 @@ class TestCornerCutPocket:
 def corridor():
     tess, w, s, t = corridor_weights(4.0, 2.0, 4.0)
     res = approx_shortest_path(tess, w, s, t, level=2)
-    x = crossing_path(walk_polyline(res.path), w)
+    x = crossing_path(walk_polyline(res.path))
     return tess, w, s, t, x
 
 
@@ -392,7 +361,7 @@ class TestComposeAndShortcuts:
     def test_strip_path_has_no_shortcut(self):
         tess, w, s, t = strip(2)
         oracle = refine_until(tess, w, s, t)
-        x = crossing_path(walk_polyline(oracle.path), w)
+        x = crossing_path(walk_polyline(oracle.path))
         assert shortcut_paths(x, tess) == ()
 
 
@@ -403,58 +372,69 @@ class TestEqualize:
 
     def test_reprices_to_neighbour_sum(self):
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
-        out = _equalize_core(w, visits(w, self.seg), (0, 2), self.tess)[0]
+        out = _equalize_core(w, visits(self.seg), (0, 2), self.tess)[0]
         assert out.values[0].tolist() == [1.0, 1.0, 2.0, 1.0]
 
     def test_reprices_even_when_already_cheap(self):
         w = WeightMap([[1.0, 1.0, 1.0, 1.0]])
-        out = _equalize_core(w, visits(w, self.seg), (0, 2), self.tess)[0]
+        out = _equalize_core(w, visits(self.seg), (0, 2), self.tess)[0]
         assert out.values[0].tolist() == [1.0, 1.0, 2.0, 1.0]
 
     def test_keeps_an_equalized_weight(self):
         w = WeightMap([[1.0, 1.0, 2.0, 1.0]])
-        out = _equalize_core(w, visits(w, self.seg), (0, 2), self.tess)[0]
+        out = _equalize_core(w, visits(self.seg), (0, 2), self.tess)[0]
         assert out.values[0].tolist() == [1.0, 1.0, 2.0, 1.0]
 
     def test_blocks_cells_off_the_corridor(self):
         tess = Tessellation(2, 3)
         w = WeightMap([[1.0, 1.0, 3.0], [2.0, 2.0, 2.0]])
-        out = _equalize_core(w, visits(w, self.seg), (0, 1), tess)[0]
+        out = _equalize_core(w, visits(self.seg), (0, 1), tess)[0]
         assert out.values[0].tolist() == [1.0, 4.0, 3.0]
         assert np.isinf(out.values[1]).all()
 
     def test_rejects_infinite_neighbour(self):
         w = WeightMap([[1.0, INF, 3.0, 1.0]])
         with pytest.raises(EqualizeError, match="finite"):
-            _equalize_core(w, visits(w, self.seg), (0, 2), self.tess)
+            _equalize_core(w, visits(self.seg), (0, 2), self.tess)
 
     def test_rejects_endpoint_cells(self):
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         with pytest.raises(EqualizeError, match="predecessor"):
-            _equalize_core(w, visits(w, self.seg), (0, 0), self.tess)
+            _equalize_core(w, visits(self.seg), (0, 0), self.tess)
         with pytest.raises(EqualizeError, match="successor"):
-            _equalize_core(w, visits(w, self.seg), (0, 3), self.tess)
+            _equalize_core(w, visits(self.seg), (0, 3), self.tess)
 
     def test_rejects_untraversed_cell(self):
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         short = [(0.0, 0.0), (2.5, SQRT3 / 2.0)]
         with pytest.raises(EqualizeError, match="not traversed"):
-            _equalize_core(w, visits(w, short), (0, 3), self.tess)
+            _equalize_core(w, visits(short), (0, 3), self.tess)
 
     def test_keeps_both_sides_of_a_run_along_an_edge(self):
         # a run along the edge between (0, 1) and (1, 1), then across (0, 3) and (0, 4)
         tess = Tessellation(2, 5)
         w = WeightMap([[1.0, 1.0, 1.0, 3.0, 1.0], [1.0, 5.0, 1.0, 1.0, 1.0]])
         sp = [(1.0, SQRT3), (3.0, SQRT3), (4.5, SQRT3 / 2.0), (6.0, 0.0)]
-        out, prev_cell, next_cell = _equalize_core(w, visits(w, sp), (0, 3), tess)
+        out, prev_cell, next_cell = _equalize_core(w, visits(sp), (0, 3), tess)
         assert (prev_cell, next_cell) == ((0, 1), (0, 4))
         assert out.values.tolist() == [[INF, 1.0, INF, 2.0, 1.0], [INF, 5.0, INF, INF, INF]]
+
+    def test_an_edge_run_pays_for_its_cheaper_side(self):
+        # the run of the test above, its upper cell now the cheaper side; the
+        # visit keeps segment_walk's representative, the lower cell
+        tess = Tessellation(2, 5)
+        w = WeightMap([[1.0, 5.0, 1.0, 3.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
+        sp = [(1.0, SQRT3), (3.0, SQRT3), (4.5, SQRT3 / 2.0), (6.0, 0.0)]
+        assert visits(sp)[0].cell == (0, 1)
+        out, prev_cell, next_cell = _equalize_core(w, visits(sp), (0, 3), tess)
+        assert (prev_cell, next_cell) == ((1, 1), (0, 4))
+        assert out.values[0, 3] == 2.0
 
     def test_rejects_repeated_traversal(self):
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         back_and_forth = [(0.0, 0.0), (2.5, SQRT3 / 2.0), (0.5, SQRT3 / 2.0)]
         with pytest.raises(EqualizeError, match="more than once"):
-            _equalize_core(w, visits(w, back_and_forth), (0, 0), self.tess)
+            _equalize_core(w, visits(back_and_forth), (0, 0), self.tess)
 
 
 class TestDegenerateAndMediant:
@@ -464,12 +444,12 @@ class TestDegenerateAndMediant:
         gap = GapPolygon(
             kind=3,
             pivot=(2, 0),
-            sp_points=((2.0, 0.0), (2.0, 0.0)),
-            x_points=((2.0, 0.0), (3.0, SQRT3), (4.0, 0.0)),
-            x_edges=(((2, 0), (3, 1)), ((3, 1), (4, 0))),
             cut_edges=(),
             shared=False,
             pieces=(),
+            x_pieces=tuple(
+                segment_walk((2.0, 0.0), (3.0, SQRT3)) + segment_walk((3.0, SQRT3), (4.0, 0.0))
+            ),
         )
         d = CoincidenceDecomposition(polygons=(gap,), sp=walk_polyline(((2.0, 0.0), (2.0, 0.0))))
         with pytest.raises(DegeneratePolygonError):
@@ -530,6 +510,22 @@ class TestRatioReport:
         assert rep.histogram[1] == 2
         assert any(p.equalized_ratio is not None for p in rep.polygons)
         assert len(calls) == len(rep.sp_path) - 1 + rep.histogram[1]
+
+    def test_merges_sp_visits_once(self, monkeypatch):
+        # the walk merges SP's cell visits; the crossing path and the
+        # equalization of the kind-2 pocket here both read that one merge
+        tess, w = random_instance(4)
+        s, t = far_endpoints(tess)
+        merge, calls = analysis._visit_sequence, []
+
+        def counting(pieces):
+            calls.append(pieces)
+            return merge(pieces)
+
+        monkeypatch.setattr(analysis, "_visit_sequence", counting)
+        rep = ratio_report(tess, w, s, t)
+        assert any(p.equalized_ratio is not None for p in rep.polygons)
+        assert len(calls) == 1
 
     def test_locates_each_sp_point_once(self, monkeypatch):
         # the walk locates every vertex and piece end of SP, and no other
@@ -768,6 +764,31 @@ def ref_classify(sp_sub, x_sub):
     raise TopologyError("pivot-incident edge contacts are not consecutive")
 
 
+def ref_point_at(pts, cum, arc):
+    """The point at arclength arc along polyline pts, whose arclengths are cum."""
+    if arc <= 0.0:
+        return pts[0]
+    if arc >= cum[-1]:
+        return pts[-1]
+    k = 0
+    while cum[k + 1] < arc:
+        k += 1
+    span = cum[k + 1] - cum[k]
+    t = (arc - cum[k]) / span if span > 0.0 else 0.0
+    a, b = pts[k], pts[k + 1]
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+
+def ref_slice_polyline(pts, cum, lo, hi):
+    """The part of polyline pts from arclength lo to hi."""
+    out = [ref_point_at(pts, cum, lo)]
+    for k in range(1, len(pts) - 1):
+        if lo + 1e-9 < cum[k] < hi - 1e-9:
+            out.append(pts[k])
+    out.append(ref_point_at(pts, cum, hi))
+    return tuple(out)
+
+
 def ref_coincidence_arcs(sp_pts, x_pts):
     sp_cum, x_cum = _cum_lengths(sp_pts), _cum_lengths(x_pts)
     events = []
@@ -813,7 +834,7 @@ def ref_coincidence_arcs(sp_pts, x_pts):
 
 
 def reference_decomposition(sp, x):
-    """(points, [(kind, pivot, cut_edges, shared, sp_points, x_points)]) by pairwise geometry."""
+    """(points, [(kind, pivot, cut_edges, shared, sp_sub, x_sub)]) by pairwise geometry."""
     sp_pts = tuple(sp)
     x_pts = tuple(corner_position(c) for c in x.corners)
     sp_cum, x_cum = _cum_lengths(sp_pts), _cum_lengths(x_pts)
@@ -822,13 +843,13 @@ def reference_decomposition(sp, x):
     for (lo_sp, lo_x), (hi_sp, hi_x) in zip(arcs, arcs[1:]):
         if hi_sp - lo_sp <= _ARC_TOL and hi_x - lo_x <= _ARC_TOL:
             continue
-        sp_sub = _slice_polyline(sp_pts, sp_cum, lo_sp, hi_sp)
-        x_sub = _slice_polyline(x_pts, x_cum, lo_x, hi_x)
+        sp_sub = ref_slice_polyline(sp_pts, sp_cum, lo_sp, hi_sp)
+        x_sub = ref_slice_polyline(x_pts, x_cum, lo_x, hi_x)
         if ref_shared_gap(sp_sub, x_sub):
             pockets.append((1, *ref_shared_pivot(sp_sub), True, sp_sub, x_sub))
         else:
             pockets.append((*ref_classify(sp_sub, x_sub), False, sp_sub, x_sub))
-    return tuple(_point_at(sp_pts, sp_cum, arc) for arc, _ in arcs), pockets
+    return tuple(ref_point_at(sp_pts, sp_cum, arc) for arc, _ in arcs), pockets
 
 
 def assert_matches_reference(sp, x, w, tess):
@@ -845,17 +866,19 @@ def assert_matches_reference(sp, x, w, tess):
     assert len(contact_points(d)) == len(points)
     for got, want in zip(contact_points(d), points):
         assert math.dist(got, want) <= 1e-12
-    for g, p in zip(d.polygons, pockets):
-        assert len(g.sp_points) == len(p[4]) and len(g.x_points) == len(p[5])
-        for got, want in zip(g.sp_points + g.x_points, p[4] + p[5]):
+    # X's side of each pocket ends where the reference's does, through the same corners
+    for g, (*_, x_sub) in zip(d.polygons, pockets):
+        x_points = (g.x_pieces[0].entry, *(rec.exit for rec in g.x_pieces))
+        assert len(x_points) == len(x_sub)
+        for got, want in zip(x_points, x_sub):
             assert math.dist(got, want) <= 1e-12
     # every walk piece lies in exactly one pocket, in walk order
     assert [rec for g in d.polygons for rec in g.pieces] == [rec for _, _, rec in walk.pieces]
-    for g, r in zip(d.polygons, per_polygon_ratios(d, w, tess)):
-        sp_cost, x_cost = ref_polyline_cost(w, g.sp_points), ref_polyline_cost(w, g.x_points)
+    for g, (*_, sp_sub, x_sub), r in zip(d.polygons, pockets, per_polygon_ratios(d, w, tess)):
+        sp_cost, x_cost = ref_polyline_cost(w, sp_sub), ref_polyline_cost(w, x_sub)
         assert math.isclose(walk_cost(w, g.pieces), sp_cost, rel_tol=1e-12)
-        assert math.isclose(_edge_run_cost(w, g.x_points, g.x_edges), x_cost, rel_tol=1e-12)
-        ratio, rescue, bound_ok = ref_pocket_ratio(w, g.kind, g.sp_points, sp_cost, x_cost)
+        assert math.isclose(walk_cost(w, g.x_pieces), x_cost, rel_tol=1e-12)
+        ratio, rescue, bound_ok = ref_pocket_ratio(w, g.kind, sp_sub, sp_cost, x_cost)
         assert math.isclose(r.ratio, ratio, rel_tol=1e-12)
         assert (r.rescue_ratio is None) == (rescue is None)
         if rescue is not None:
@@ -863,8 +886,8 @@ def assert_matches_reference(sp, x, w, tess):
         assert r.bound_ok == bound_ok
         if r.equalized_ratio is not None:
             (cell,) = set(edge_cells(g.cut_edges[0])) & set(edge_cells(g.cut_edges[1]))
-            eq = _equalize_core(w, _visit_sequence(w, walk), cell, tess)[0]
-            want = ref_polyline_cost(eq, g.x_points) / ref_polyline_cost(eq, g.sp_points)
+            eq = _equalize_core(w, walk.visits, cell, tess)[0]
+            want = ref_polyline_cost(eq, x_sub) / ref_polyline_cost(eq, sp_sub)
             assert math.isclose(r.equalized_ratio, want, rel_tol=1e-12)
 
 
@@ -887,7 +910,7 @@ class TestReferenceDecomposition:
             assume(False)
         tess, w = inst.tessellation, inst.weights
         sp = refine_until(tess, w, inst.source, inst.target).path
-        assert_matches_reference(sp, crossing_path(walk_polyline(sp), w), w, tess)
+        assert_matches_reference(sp, crossing_path(walk_polyline(sp)), w, tess)
         sgp = shortest_grid_path(tess, w, inst.source, inst.target)
         assert_matches_reference(sp, CrossingPath(sgp.path, ()), w, tess)
 
@@ -901,13 +924,13 @@ class TestReferenceDecomposition:
     def test_strips(self, k):
         tess, w, s, t = strip(k)
         sp = refine_until(tess, w, s, t).path
-        assert_matches_reference(sp, crossing_path(walk_polyline(sp), w), w, tess)
+        assert_matches_reference(sp, crossing_path(walk_polyline(sp)), w, tess)
 
     def test_identical_paths(self):
         tess = Tessellation(1, 4)
         w = WeightMap([[1.0, 1.0, 3.0, 1.0]])
         sp = [corner_position(c) for c in ((0, 0), (2, 0), (3, 1))]
-        assert_matches_reference(sp, crossing_path(walk_polyline(sp), w), w, tess)
+        assert_matches_reference(sp, crossing_path(walk_polyline(sp)), w, tess)
 
     @pytest.mark.parametrize(
         "walk",
