@@ -1,12 +1,15 @@
 """Approximate continuous shortest paths.
 
 Each refinement level places 2**level - 1 evenly spaced nodes on every edge
-of every finite cell. Graph moves are straight hops: any corner to any other
-corner priced by the segment metric, plus any two nodes on the boundary of a
-common finite cell, paying the cell weight across its interior or the
-min-rule weight along a shared edge. Every graph path is a genuine plane
-path, so the reported cost is an upper bound on the true optimum, and it is
-non-increasing in the level because dyadic node sets nest.
+of the window (Lanthier, Maheshwari and Sack's uniform placement), so a
+level's nodes and their order are set by the window shape alone. Graph
+moves are straight hops: any corner to any other corner priced by the
+segment metric, plus any two nodes on the boundary of a common finite cell,
+paying the cell weight across its interior or the min-rule weight along a
+shared edge; the arcs of blocked cells are dropped when the level's layout
+is priced. Every graph path is a genuine plane path, so the reported cost is
+an upper bound on the true optimum, and it is non-increasing in the level
+because dyadic node sets nest.
 
 At level 0 the graph is the complete corner graph, whose cliques add no
 arc cheaper than a hop, so level 0 runs the vertex-path search. What no
@@ -57,7 +60,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_REL_TOL = 1e-6
 DEFAULT_MAX_LEVEL = 7
 # Largest Steiner graph built, in nodes: corners plus 2**level - 1 per edge of
-# a finite cell. Level 7 on a 24x24 window needs about 115,000.
+# the window, blocked or not. Level 7 on a 24x24 window needs 114,625.
 MAX_STEINER_NODES = 2_000_000
 # Deepest level built. A level's distance table grows as 4**level: it takes
 # 25 MB at level 10 and 101 MB at level 11.
@@ -79,6 +82,8 @@ _UP_CELL, _DOWN_CELL = _reference_cell(0), _reference_cell(1)
 _VERTEX_OFFSETS = tuple(zip(_UP_CELL[0], _DOWN_CELL[0]))
 # [down, slot] -> (first end, second end)
 _SLOT_ENDS = np.array((_UP_CELL[1], _DOWN_CELL[1]))
+# the row kinds of a cell's vertex rows, then of its slot rows
+_ROW_KINDS = np.array([[[3, 4, 5]], [[0, 1, 2]]])
 
 
 def _slot_members(slot: int, per_edge: int) -> np.ndarray:
@@ -100,21 +105,6 @@ class OracleResult(NamedTuple):
     cost: float
     level: int
     converged: bool
-
-
-class _Support(NamedTuple):
-    """The finite cells of a window and their distinct edges.
-
-    cells is (C, 2) (row, col) in row-major order; verts (C, 3) holds the
-    corner ids of cell_vertices(cell); edges is (E, 2) corner ids of each
-    distinct edge in first-seen order, ends in corner order like edge_key;
-    slot_edges (C, 3) indexes edges by the slots of cell_edges(cell).
-    """
-
-    cells: np.ndarray
-    verts: np.ndarray
-    edges: np.ndarray
-    slot_edges: np.ndarray
 
 
 @functools.lru_cache(maxsize=MAX_LEVEL + 1)
@@ -184,92 +174,207 @@ def _weight_slots(level: int) -> np.ndarray:
     return slots
 
 
-class _SteinerGraph:
-    """The level's Steiner graph, with its cell cliques stacked in arrays.
+class _Rows(NamedTuple):
+    """Some cells, verts (C, 3) their cell_vertices as corner ids and
+    slot_edges (C, 3) their cell_edges slots' edges, and their stacked rows:
+    each cell's rows 3-5 (its vertices), then each cell's rows 0-2 (its
+    slots). A row of cell cell relaxes group (a corner, or n_corners + an
+    edge), reads _clique_table's columns[columns // 6, columns % 6] and
+    prices its members with w: its cell's three slot min-rule weights, then
+    the cell's, as weights or as indices into a solve's weight vector."""
 
-    Nodes are the window's corners, then 2**level - 1 nodes along each
-    distinct edge, from its first end to its second. Every finite cell has
-    the same local layout: its 3 vertices, then the nodes of its edges in
-    slot order. A node relaxes through the cells around it with one weight
-    row per cell: the cell weight, or the min-rule edge weight for targets
-    on an edge that also holds the node. Those rows are merged per node
-    (per corner, or per edge for the nodes on it), each head kept once with
-    its weight and its column in the level's distance table, so one settle
-    prices all of a node's cliques with one gather from one table row.
-    Each group's heads, columns and weights are laid out once per level as
-    views, and each node's group and table row are looked up, so a settle
-    slices nothing. Heads and columns are intp, so no gather casts them.
+    verts: np.ndarray
+    slot_edges: np.ndarray
+    cell: np.ndarray
+    group: np.ndarray
+    columns: np.ndarray
+    w: np.ndarray
+
+
+class _Window:
+    """The Steiner layout of a window shape, as if no cell were blocked.
+
+    rows holds every cell, in row-major order, with weight indices. edges
+    (E, 2) holds each edge's ends in corner order, in the order cells first
+    see them, row-major and slot by slot; edge_cells (2, E) the cells that
+    see each edge first and second, the first twice on the window's border.
+    The edge order is closed form. A cell's slot 0 is its left edge, which
+    its left neighbour saw first: as slot 2 when that neighbour points down
+    (so the cell points up), as slot 1 when it points up. An upward cell's
+    slot 2 is its bottom edge, which the cell below saw first as slot 1.
+    Every other slot sees its edge first.
+
+    Solves of the shape share these arrays and level_one, the level-1
+    layout of every cell, and read them only through gathers, which copy.
+    """
+
+    def __init__(self, tess: Tessellation):
+        rows, cols, grid = tess.rows, tess.cols, tess.corner_grid
+        # a vertex sits at its upward offset in an upward cell and at its
+        # downward one in a downward cell; at the other orientation's offset
+        # i + j is odd and the grid reads -1, so the larger id is the vertex
+        verts = np.empty((rows, cols, 3), dtype=grid.dtype)
+        for v, ((ui, uj), (di, dj)) in enumerate(_VERTEX_OFFSETS):
+            up_at = grid[uj : uj + rows, ui : ui + cols]
+            np.maximum(up_at, grid[dj : dj + rows, di : di + cols], out=verts[..., v])
+        up = grid[:rows, :cols] >= 0
+        first = np.ones((rows, cols, 3), dtype=bool)
+        first[:, 1:, 0] = False
+        np.logical_not(up[1:], out=first[1:, :, 2])
+        ids = np.cumsum(first).reshape(rows, cols, 3)
+        ids -= 1
+        # a downward neighbour sees its slots 1 and 2 first, one after the other,
+        # so its slot 2's id is its slot 1's plus one
+        np.add(ids[:, :-1, 1], up[:, 1:], out=ids[:, 1:, 0])
+        np.copyto(ids[1:, :, 2], ids[:-1, :, 1], where=up[1:])
+        edges = verts[..., _SLOT_ENDS[0]][first]
+        edges.sort(axis=1)
+
+        n_cells = rows * cols
+        verts, ids = verts.reshape(n_cells, 3), ids.reshape(n_cells, 3)
+        row_cell = np.arange(6 * n_cells) // 3 % n_cells
+        # each edge's first seer (edges are numbered in first-seen order),
+        # then its second, where it has one
+        seer, first = row_cell[: 3 * n_cells], first.ravel()
+        self.edge_cells = np.array((seer[first], seer[first]))
+        second = ~first
+        self.edge_cells[1, ids.ravel()[second]] = seer[second]
+        self.edges = edges
+        self.corner_xy = (tess.corner_array * (1.0, SQRT3)).T
+        self.corner_heads = np.arange(len(tess.corners))
+        group = np.concatenate((verts.ravel(), len(tess.corners) + ids.ravel()))
+        columns = (np.where(up, 0, 6).reshape(1, -1, 1) + _ROW_KINDS).ravel()
+        w = np.concatenate((n_cells + ids, np.arange(n_cells)[:, None]), axis=1)[row_cell]
+        self.rows = _Rows(verts, ids, row_cell, group, columns, w)
+
+    @functools.cached_property
+    def level_one(self) -> tuple:
+        return _steiner_layout(self, 1, self.rows)
+
+
+# Kept for as many window shapes as hop tables are, least recently used first
+@functools.lru_cache(maxsize=HOP_TABLE_CACHE_SIZE)
+def _window_support(tess: Tessellation) -> _Window:
+    """The shape's shared Steiner layout; the shape fully determines it."""
+    return _Window(tess)
+
+
+def _steiner_layout(window: _Window, level: int, cells: _Rows) -> tuple:
+    """The level's graph over the window's cells that cells holds, before
+    pricing: node positions x and y; each group's heads, their columns in
+    the level's distance table and what cells.w gives them, laid end to
+    end, group g at bounds[g]:bounds[g + 1]; and each node's group and
+    table row. Nodes are the corners, then 2**level - 1 along each edge of
+    the window, from its first end, whichever cells are laid out; every
+    cell's members are its 3 vertices, then its slots' nodes.
+    """
+    n_corners, n_edges = len(window.corner_heads), len(window.edges)
+    per_edge = 2 ** level - 1
+    n_members = 3 + 3 * per_edge
+    fractions = np.arange(1, per_edge + 1) / float(2 ** level)
+    a, b = window.corner_xy[:, window.edges, None].transpose(2, 0, 1, 3)  # each (xy, edge, 1)
+    along = (a + fractions * (b - a)).reshape(2, -1)
+    x, y = np.concatenate((window.corner_xy, along), axis=1)
+    n_nodes = len(x)
+    verts, slot_edges, row_cell, row_group, row_columns, row_w = cells
+    n_cells = len(verts)
+
+    # each stacked row's node ids, in the local layout of its cell (3
+    # vertices, then per_edge nodes per slot), offset by its group, so
+    # that sorting them groups the rows' heads
+    edge_node_ids = n_corners + slot_edges[:, :, None] * per_edge + np.arange(per_edge)
+    cell_ids = np.concatenate((verts, edge_node_ids.reshape(n_cells, -1)), axis=1)
+    del edge_node_ids
+    keys = cell_ids[row_cell]
+    del cell_ids
+    keys += (row_group * n_nodes)[:, None]
+    keys = keys.ravel()
+    # a group keeps each head once: the copies that cells sharing an edge
+    # give it are priced alike, at that edge's min-rule weight (a corner's
+    # copies of itself lie at distance 0). Keep each key's first copy, as
+    # np.unique(keys, return_index=True) does, without its fixed cost.
+    first = keys.argsort(kind="stable")
+    keys = keys[first]
+    kept = np.empty(len(keys), dtype=bool)
+    kept[:1], kept[1:] = True, keys[1:] != keys[:-1]
+    keys, first = keys[kept], first[kept]
+    del kept
+    bounds = np.searchsorted(keys, np.arange(0, (n_corners + n_edges + 1) * n_nodes, n_nodes))
+    # integer floor division by a scalar is fast, remainder and divmod are not
+    group_base = keys // n_nodes
+    group_base *= n_nodes
+    heads = np.subtract(keys, group_base, out=keys)
+    del group_base
+    # each kept copy's stacked row and local member place it: its column in
+    # the level's table, and its weight, which the member's weight slot
+    # picks from the row's three min-rule edge weights and its cell weight
+    rows = first // n_members
+    members = first  # reused in place: first is not read again
+    del first
+    members -= rows * n_members
+    table, columns = _clique_table(level)
+    members += (row_columns * n_members).take(rows)  # a flat index into columns
+    head_idx = columns.take(members)
+    slot = _weight_slots(level).take(members)
+    del members
+    rows *= 4
+    rows += slot
+    head_w = row_w.take(rows)
+    del rows, slot
+    # node u relaxes through group node_group[u], priced from table row
+    # node_row[u]: a corner through its own group and row 0, node m of an
+    # edge through the edge's group and row m + 1. The nodes of an edge
+    # share one int object for their group (a list repeats it in a third of
+    # np.repeat's time at level 7). Deriving both from u with divmod
+    # instead measured about 1% slower per settle at level 7.
+    node_group = list(range(n_corners))
+    for group in range(n_corners, n_corners + n_edges):
+        node_group += [group] * per_edge
+    table_rows = list(table)
+    node_row = table_rows[:1] * n_corners + table_rows[1:-1] * n_edges
+    return x, y, heads, head_idx, head_w, bounds, node_group, node_row
+
+
+class _SteinerGraph:
+    """The level's Steiner graph: a layout (_steiner_layout) priced by one
+    solve's weights.
+
+    Nodes span every edge of the window, so node order, and with it the
+    (cost, node id) order of ties, is set by the shape alone. A node
+    relaxes through the cells around it with one weight row per cell: the
+    cell weight, or the min-rule edge weight for targets on an edge that
+    also holds the node. Those rows are merged per node (per corner, or per
+    edge for the nodes on it), each head kept once with its weight and its
+    column in the level's distance table, so one settle prices all of a
+    node's cliques with one gather from one table row.
+
+    Level 1 prices the shape's layout of every cell (_Window.level_one)
+    and drops each head priced through a blocked cell, at infinite weight,
+    so no settle computes 0 * inf. Deeper levels, whose layouts run to
+    megabytes, lay out the finite cells alone, from rows priced once per
+    solve. A node whose edge borders only blocked cells has no arcs. Each
+    group's heads, columns and weights are views, and each node's group and
+    table row are looked up, so a settle slices nothing. Heads and columns
+    are intp, so no gather casts them.
     """
 
     def __init__(self, ctx: "_SolveContext", level: int):
-        cells, verts, edges, slot_edges = ctx.support
-        n_corners, n_cells, per_edge = ctx.corner_xy.shape[1], len(cells), 2 ** level - 1
-        n_members = 3 + 3 * per_edge
-        self.n_corners, self.per_edge, self.edges = n_corners, per_edge, edges
-        self.hop_matrix, self.corner_heads = ctx.hop_matrix, np.arange(n_corners)
-
-        fractions = np.arange(1, per_edge + 1) / float(2 ** level)
-        a, b = ctx.corner_xy[:, edges, None].transpose(2, 0, 1, 3)  # each (xy, edge, 1)
-        along = (a + fractions * (b - a)).reshape(2, -1)
-        self.x, self.y = np.concatenate((ctx.corner_xy, along), axis=1)
-        n_nodes = len(self.x)
-
-        # each stacked row's node ids, in the local layout of its cell (3
-        # vertices, then per_edge nodes per slot), offset by its group, so
-        # that sorting them groups the rows' heads
-        edge_node_ids = n_corners + slot_edges[:, :, None] * per_edge + np.arange(per_edge)
-        cell_ids = np.concatenate((verts, edge_node_ids.reshape(n_cells, -1)), axis=1)
-        del edge_node_ids
-        keys = cell_ids[ctx.row_cell]
-        del cell_ids
-        keys += (ctx.row_group * n_nodes)[:, None]
-        keys = keys.ravel()
-        # a group keeps each head once: the copies that cells sharing an edge
-        # give it are priced alike, at that edge's min-rule weight. Keep each
-        # key's first copy, as np.unique(keys, return_index=True) finds it but
-        # without its fixed cost, which a small level-1 graph feels.
-        first = keys.argsort(kind="stable")
-        keys = keys[first]
-        kept = np.empty(len(keys), dtype=bool)
-        kept[:1], kept[1:] = True, keys[1:] != keys[:-1]
-        keys, first = keys[kept], first[kept]
-        del kept
-        group_starts = np.arange(0, (n_corners + len(edges) + 1) * n_nodes, n_nodes)
-        bounds = np.searchsorted(keys, group_starts).tolist()
-        # integer floor division by a scalar is fast, remainder and divmod are not
-        group_base = keys // n_nodes
-        group_base *= n_nodes
-        heads = np.subtract(keys, group_base, out=keys)
-        del group_base
-        # each kept copy's stacked row and local member price it: its column
-        # in the level's table, and its weight, which the member's weight slot
-        # picks from the row's three min-rule edge weights and its cell weight
-        rows = first // n_members
-        members = first  # reused in place: first is not read again
-        del first
-        members -= rows * n_members
-        table, columns = _clique_table(level)
-        members += (ctx.row_columns * n_members).take(rows)  # a flat index into columns
-        head_idx = columns.take(members)
-        slot = _weight_slots(level).take(members)
-        del members
-        rows *= 4
-        rows += slot
-        head_w = ctx.row_w.take(rows)
-        del rows, slot
-        self.groups = [
-            (heads[lo:hi], head_idx[lo:hi], head_w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-        ]
-        # node u relaxes through group node_group[u], priced from table row
-        # node_row[u]: a corner through its own group and row 0, node m of an
-        # edge through the edge's group and row m + 1. The nodes of an edge
-        # share one int object for their group. Deriving both from u with
-        # divmod instead measured about 1% slower per settle at level 7.
-        group_ids = np.arange(n_corners + len(edges), dtype=object)
-        edge_groups = np.repeat(group_ids[n_corners:], per_edge)
-        self.node_group = np.concatenate((group_ids[:n_corners], edge_groups)).tolist()
-        table_rows = list(table)
-        self.node_row = table_rows[:1] * n_corners + table_rows[1:-1] * len(edges)
+        window = ctx.window
+        layout = window.level_one if level == 1 else _steiner_layout(window, level, ctx.finite_rows)
+        self.n_corners, self.per_edge = len(window.corner_heads), 2 ** level - 1
+        self.edges, self.corner_heads = window.edges, window.corner_heads
+        self.hop_matrix = ctx.hop_matrix
+        self.x, self.y, heads, idx, w, bounds, self.node_group, self.node_row = layout
+        if level == 1:
+            w = ctx.w.take(w)
+            kept = np.isfinite(w)
+            if not kept.all():
+                # a group's bound moves down by the heads dropped before it
+                kept = kept.nonzero()[0]
+                bounds = kept.searchsorted(bounds)
+                heads, idx, w = heads.take(kept), idx.take(kept), w.take(kept)
+        bounds = bounds.tolist()
+        self.groups = [(heads[lo:hi], idx[lo:hi], w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     def _arcs(self, u: int, d: float) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
         """The candidates of u settled at d: a corner's hop row, then u's group
@@ -305,123 +410,56 @@ class _SteinerGraph:
         return keep + path[-1:]
 
 
-# Kept for as many window shapes as hop tables are, least recently used first
-@functools.lru_cache(maxsize=HOP_TABLE_CACHE_SIZE)
-def _window_support(tess: Tessellation) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The support of the whole window, as if no cell were blocked.
-
-    Returns verts (rows, cols, 3), each cell's cell_vertices as corner
-    ids; ids (rows, cols, 3), each slot's edge in the order cells first see
-    them, row-major and slot by slot; edges (E, 2), each edge's ends in
-    corner order; and up (rows, cols), which cells point upward.
-
-    The order is closed form. A cell's slot 0 is its left edge, which its
-    left neighbour saw first: as slot 2 when that neighbour points down (so
-    the cell points up), as slot 1 when it points up. An upward cell's slot
-    2 is its bottom edge, which the cell below saw first as slot 1. Every
-    other slot sees its edge first. Every call of the shape shares these
-    arrays, and _steiner_support reads them only through gathers, which copy.
-    """
-    rows, cols, grid = tess.rows, tess.cols, tess.corner_grid
-    # a vertex sits at its upward offset in an upward cell and at its
-    # downward one in a downward cell; at the other orientation's offset
-    # i + j is odd and the grid reads -1, so the larger id is the vertex
-    verts = np.empty((rows, cols, 3), dtype=grid.dtype)
-    for v, ((ui, uj), (di, dj)) in enumerate(_VERTEX_OFFSETS):
-        up_at, down_at = grid[uj : uj + rows, ui : ui + cols], grid[dj : dj + rows, di : di + cols]
-        np.maximum(up_at, down_at, out=verts[..., v])
-    up = grid[:rows, :cols] >= 0
-    first = np.ones((rows, cols, 3), dtype=bool)
-    first[:, 1:, 0] = False
-    np.logical_not(up[1:], out=first[1:, :, 2])
-    ids = np.cumsum(first).reshape(rows, cols, 3)
-    ids -= 1
-    # a downward neighbour sees its slots 1 and 2 first, one after the other,
-    # so its slot 2's id is its slot 1's plus one
-    np.add(ids[:, :-1, 1], up[:, 1:], out=ids[:, 1:, 0])
-    np.copyto(ids[1:, :, 2], ids[:-1, :, 1], where=up[1:])
-    edges = verts[..., _SLOT_ENDS[0]][first]
-    edges.sort(axis=1)
-    return verts, ids, edges, up
-
-
-def _steiner_support(tess: Tessellation, weights: WeightMap, level: int) -> _Support:
-    """The finite cells and their distinct edges, in first-seen order.
-
-    Cut from the window's support: a finite cell's slot sees its edge first
-    among the finite cells unless the cell that saw it first in the window
-    (_window_support) is finite too. Refuses a level over MAX_LEVEL, or one
-    whose Steiner graph would exceed MAX_STEINER_NODES, before anything of
-    that size is allocated.
-    """
-    if level < 0:
-        raise ValueError("refinement level must be non-negative")
-    if level > MAX_LEVEL:
-        raise ValueError(
-            f"refinement level {level} is over the budget of level {MAX_LEVEL}: "
-            "a level's distance table grows as 4**level"
-        )
-    verts, ids, window_edges, up = _window_support(tess)
-    finite = np.isfinite(weights.values)
-    # the window's first seer of slot 0 is the left neighbour, of an upward
-    # cell's slot 2 the cell below, and of every other slot the cell itself
-    first = np.empty(finite.shape + (3,), dtype=bool)
-    first[...] = finite[..., None]
-    np.greater(first[:, 1:, 0], finite[:, :-1], out=first[:, 1:, 0])
-    np.greater(first[1:, :, 2], up[1:] & finite[:-1], out=first[1:, :, 2])
-    kept = ids[first]
-    rank = np.empty(len(window_edges), dtype=np.intp)
-    rank[kept] = np.arange(len(kept))
-    # the per-edge fractions are laid out even with no edges
-    nodes = len(tess.corners) + max(len(kept), 1) * (2 ** level - 1)
-    if nodes > MAX_STEINER_NODES:
-        raise ValueError(
-            f"refinement level {level} needs more than the budget of "
-            f"{MAX_STEINER_NODES} Steiner nodes"
-        )
-    cells = np.transpose(np.nonzero(finite))  # np.argwhere, without its checks
-    return _Support(cells, verts[finite], window_edges[kept], rank[ids[finite]])
-
-
 class _SolveContext:
-    """What no level of one s-t solve changes: support, hop costs (none if
-    s == t), cell and min-rule edge weights, corner positions. solve() drops
-    each level's graph on return, so no two levels' graphs are alive at once."""
+    """What no level of one s-t solve changes: the shape's layout
+    (_window_support), hop costs (none if s == t), and the weight vector w
+    that prices every level's graph: the cell weights in row-major order,
+    then each window edge's min-rule weight, the lesser of its cells',
+    infinite where they are all blocked. solve() drops each level's graph
+    on return, so no two levels' graphs are alive at once."""
 
     def __init__(
         self, tess: Tessellation, weights: WeightMap, s: Corner, t: Corner, max_level: int
     ):
-        """Refuses bad endpoints, and a max_level over the budget."""
+        """Refuses bad endpoints, and a max_level over MAX_LEVEL or past
+        MAX_STEINER_NODES, before anything of that size is allocated."""
         _check_endpoints(tess, weights, s, t)
+        if max_level < 0:
+            raise ValueError("refinement level must be non-negative")
+        if max_level > MAX_LEVEL:
+            raise ValueError(
+                f"refinement level {max_level} is over the budget of level {MAX_LEVEL}: "
+                "a level's distance table grows as 4**level"
+            )
+        self.window = _window_support(tess)
+        if len(tess.corners) + len(self.window.edges) * (2 ** max_level - 1) > MAX_STEINER_NODES:
+            raise ValueError(
+                f"refinement level {max_level} needs more than the budget of "
+                f"{MAX_STEINER_NODES} Steiner nodes"
+            )
         self.s, self.t, self.max_level = s, t, max_level
         self.si, self.ti = tess.corner_ids[s], tess.corner_ids[t]
-        self.support = _steiner_support(tess, weights, max_level)
-        cells, verts, edges, slot_edges = self.support
         self.hop_matrix = None if s == t else corner_hop_table(tess).cost_matrix(weights)
-        cell_w = weights.values[cells[:, 0], cells[:, 1]]
-        # an edge's min-rule weight is the least weight of the finite cells that hold it
-        min_w = np.full(len(edges), np.inf)
-        np.minimum.at(min_w, slot_edges, cell_w[:, None])
-        corner_i, corner_j = tess.corner_array.T
-        self.corner_xy = np.stack((corner_i.astype(float), corner_j * SQRT3))
-        # every level stacks the cells' weight rows alike: each cell's rows
-        # 3-5 (its vertices), then each cell's rows 0-2 (its slots). A row
-        # relaxes group row_group (a corner, or n_corners + an edge), reads
-        # columns[row_columns // 6, row_columns % 6] and picks its weights
-        # from row_w: its cell's three slot min-rule weights, then the cell's.
-        n_cells = len(cells)
-        self.row_cell = np.arange(6 * n_cells) // 3 % n_cells
-        self.row_group = np.concatenate((verts.ravel(), len(tess.corners) + slot_edges.ravel()))
-        kind = np.repeat(np.array([[[3, 4, 5]], [[0, 1, 2]]]), n_cells, axis=1).ravel()
-        self.row_columns = 6 * ((cells[:, 0] + cells[:, 1]) % 2)[self.row_cell] + kind
-        self.row_w = np.concatenate((min_w[slot_edges], cell_w[:, None]), axis=1)[self.row_cell]
+        cell_w = weights.values.ravel()
+        first, second = self.window.edge_cells
+        self.w = np.concatenate((cell_w, np.minimum(cell_w[first], cell_w[second])))
+
+    @functools.cached_property
+    def finite_rows(self) -> _Rows:
+        """The finite cells' rows, priced: what every level past 1 lays out."""
+        verts, slot_edges, _, group, columns, w = self.window.rows
+        cells = np.isfinite(self.w[: len(verts)])
+        rows = np.tile(np.repeat(cells, 3), 2)  # each cell's vertex rows, then its slot rows
+        k = np.count_nonzero(cells)
+        cell, priced = np.arange(6 * k) // 3 % k, self.w[w[rows]]
+        return _Rows(verts[cells], slot_edges[cells], cell, group[rows], columns[rows], priced)
 
     def solve(self, level: int) -> OracleResult:
         """The level's path, logging its nodes, settles and cost at DEBUG."""
         if self.s == self.t:
             return OracleResult((corner_position(self.s),), 0.0, level, True)
         if level == 0:
-            x, y = self.corner_xy
+            x, y = self.window.corner_xy
             cost, path, settled = _hop_search(self.hop_matrix, self.si, self.ti)
         else:
             graph = _SteinerGraph(self, level)

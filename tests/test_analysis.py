@@ -565,7 +565,7 @@ class TestRatioReport:
             "cost_matrix",
             counting("cost_matrix", metric.CornerHopTable.cost_matrix),
         )
-        monkeypatch.setattr(oracle, "_steiner_support", counting("support", oracle._steiner_support))
+        monkeypatch.setattr(oracle, "_window_support", counting("support", oracle._window_support))
         rep = ratio_report(tess, w, (2, 0), (6, 6), max_level=3)
         assert rep.level == 3
         assert calls == {"cost_matrix": 1, "support": 1}

@@ -12,6 +12,8 @@ import pkgutil
 import re
 
 import trigrid
+from trigrid.metric import HOP_TABLE_CACHE_SIZE
+from trigrid.tessellation import Tessellation
 
 UNBOUNDED = {
     "trigrid.metric._origin_walk": (
@@ -55,3 +57,21 @@ def test_every_package_cache_has_a_finite_maxsize():
         else:
             assert maxsize is not None, f"{name} has no bound"
     assert len(caches) >= 6
+
+
+def test_every_per_shape_cache_shares_the_hop_table_bound():
+    # a cache keyed by window shape holds one entry per shape, as the hop
+    # tables do, so every such cache keeps as many shapes as they do
+    caches, _ = package_caches()
+    per_shape = {
+        name
+        for name, fn in caches.items()
+        if next(iter(inspect.signature(fn).parameters.values())).annotation is Tessellation
+    }
+    assert {
+        "trigrid.grid_paths._grid_layout",
+        "trigrid.metric.corner_hop_table",
+        "trigrid.oracle._window_support",
+    } <= per_shape
+    for name in per_shape:
+        assert caches[name].cache_parameters()["maxsize"] == HOP_TABLE_CACHE_SIZE, name

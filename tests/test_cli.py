@@ -207,7 +207,7 @@ class TestVerify:
             "cost_matrix",
             counting("cost_matrix", metric.CornerHopTable.cost_matrix),
         )
-        monkeypatch.setattr(oracle, "_steiner_support", counting("support", oracle._steiner_support))
+        monkeypatch.setattr(oracle, "_window_support", counting("support", oracle._window_support))
         assert cli._check_oracle(cli._trial_instance(1, 1), 1) == []
         assert calls == {"cost_matrix": 2, "support": 1}
 

@@ -17,12 +17,7 @@ from trigrid import oracle
 from trigrid.analysis import ratio_report
 from trigrid.instances import gen_random, gen_strip, gen_svp_witness, gen_two_weight_maze
 from trigrid.metric import WeightMap, corner_hop_table, edge_weight, segment_cost
-from trigrid.oracle import (
-    OracleResult,
-    _steiner_support,
-    approx_shortest_path,
-    refine_until,
-)
+from trigrid.oracle import OracleResult, _window_support, approx_shortest_path, refine_until
 from trigrid.tessellation import (
     SQRT3,
     Tessellation,
@@ -188,24 +183,25 @@ def test_steiner_node_budget_refuses_big_windows_before_building():
     with pytest.raises(ValueError, match="Steiner nodes"):
         refine_until(tess, ones, (0, 0), (2, 0), max_level=10)
     # 24x24 at level 10 needs about 0.9 M, within the budget
-    small = _steiner_support(Tessellation(24, 24), WeightMap(np.ones((24, 24))), 10)
-    assert len(small.edges) * (2**10 - 1) < oracle.MAX_STEINER_NODES
+    small = Tessellation(24, 24)
+    nodes = len(small.corners) + len(_window_support(small).edges) * (2**10 - 1)
+    assert nodes < oracle.MAX_STEINER_NODES
 
 
 def test_node_budget_admits_level_7_on_24x24():
     tess = Tessellation(24, 24)
     ones = WeightMap(np.ones((24, 24)))
-    support = _steiner_support(tess, ones, 7)
-    assert len(support.cells) == 24 * 24
-    assert len(tess.corners) + len(support.edges) * (2**7 - 1) < 120_000
+    window = _window_support(tess)
+    assert len(window.rows.verts) == 24 * 24
+    assert len(tess.corners) + len(window.edges) * (2**7 - 1) < 120_000
     with pytest.raises(ValueError, match="budget"):
-        _steiner_support(tess, ones, 12)
+        oracle._SolveContext(tess, ones, (0, 0), (2, 0), 12)
 
 
-def unique_support(tess, weights):
-    """_steiner_support as it was built per call, with np.unique ordering the edges."""
-    cells = np.argwhere(np.isfinite(weights.values))
-    ids = [[tess.corner_ids[c] for c in cell_vertices(cell)] for cell in map(tuple, cells.tolist())]
+def unique_support(tess):
+    """The window's cells' corner ids, distinct edges and slot edges, as the
+    finite-cell support was built per call, with np.unique ordering the edges."""
+    ids = [[tess.corner_ids[c] for c in cell_vertices(cell)] for cell in tess.cells]
     verts = np.array(ids, dtype=np.int64).reshape(-1, 3)
     a, b = np.moveaxis(verts[:, oracle._SLOT_ENDS[0]], -1, 0)
     n_corners = len(tess.corners)
@@ -215,32 +211,37 @@ def unique_support(tess, weights):
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     edges = np.stack(np.divmod(distinct[order], n_corners), axis=1)
-    return oracle._Support(cells, verts, edges, rank[inverse].reshape(-1, 3))
+    return verts, edges, rank[inverse].reshape(-1, 3)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
-def test_steiner_support_matches_the_np_unique_order(rows, cols, blocked, seed):
-    # the support is cut from a per-shape layout whose edge order is closed form
-    rng = np.random.default_rng(seed)
-    vals = rng.uniform(0.1, 10.0, size=(rows, cols))
-    vals[rng.random((rows, cols)) < blocked] = INF
-    tess, w = Tessellation(rows, cols), WeightMap(vals)
-    got, want = _steiner_support(tess, w, 1), unique_support(tess, w)
-    for name, g, x in zip(oracle._Support._fields, got, want):
+@given(st.integers(1, 9), st.integers(1, 9))
+def test_steiner_support_matches_the_np_unique_order(rows, cols):
+    # the per-shape layout's edge order is closed form
+    tess = Tessellation(rows, cols)
+    window = _window_support(tess)
+    got = (window.rows.verts, window.edges, window.rows.slot_edges)
+    for name, g, x in zip(("verts", "edges", "slot_edges"), got, unique_support(tess)):
         assert g.dtype == x.dtype, name
         assert g.shape == x.shape and np.array_equal(g, x), name
-    for cell, slots in zip(got.cells.tolist(), got.slot_edges.tolist()):
-        ends = [tuple(tess.corners[k] for k in got.edges[e]) for e in slots]
-        assert ends == list(cell_edges(tuple(cell)))
+    seers = [[] for _ in window.edges]
+    for cell, slots in enumerate(window.rows.slot_edges.tolist()):
+        ends = [tuple(tess.corners[k] for k in window.edges[e]) for e in slots]
+        assert ends == list(cell_edges(tess.cells[cell]))
+        for e in slots:
+            seers[e].append(cell)
+    # each edge's cells in the order they see it, its one cell twice on the border
+    assert window.edge_cells.tolist() == [[s[0] for s in seers], [s[-1] for s in seers]]
 
 
 def test_equal_windows_share_one_cached_layout():
     for layout in (oracle._window_support, _grid_layout, corner_hop_table):
         assert layout(Tessellation(3, 4)) is layout(Tessellation(3, 4))
+    level_one = oracle._window_support(Tessellation(3, 4)).level_one
+    assert oracle._window_support(Tessellation(3, 4)).level_one is level_one
 
 
-def fine_coordinates(tess, support, level):
+def fine_coordinates(tess, window, level):
     """Integer coordinates of every graph node on the fine lattice of step 2**-level.
 
     A corner (i, j) sits at (P*i, P*j) with P = 2**level; node n of edge (a, b)
@@ -248,7 +249,7 @@ def fine_coordinates(tess, support, level):
     is (X / P, Y * sqrt(3) / P).
     """
     p = 2**level
-    a, b = support.edges.T
+    a, b = window.edges.T
     n = np.arange(1, p)
     out = []
     for axis in tess.corner_array.T:
@@ -259,19 +260,17 @@ def fine_coordinates(tess, support, level):
 
 @pytest.mark.parametrize("level", range(9))
 def test_clique_table_prices_every_cell_pair_exactly(level):
-    tess, w = random_instance(5, inf_prob=0.2)
-    blocked = ~np.isfinite(w.values)
-    assert blocked.any() and not blocked.all()
-    support = _steiner_support(tess, w, level)
-    down = support.cells.sum(axis=1) % 2
+    tess = Tessellation(3, 4)
+    window = _window_support(tess)
+    down = np.array(tess.cells).sum(axis=1) % 2
     assert set(down) == {0, 1}
     table, columns = oracle._clique_table(level)
     p, per_edge, n_corners = 2**level, 2**level - 1, len(tess.corners)
-    fx, fy = fine_coordinates(tess, support, level)
+    fx, fy = fine_coordinates(tess, window, level)
     x, y = fx / p, fy * SQRT3 / p
     # a cell's local members: its vertices, then the nodes of each edge slot
-    slot_nodes = n_corners + support.slot_edges[:, :, None] * per_edge + np.arange(per_edge)
-    members = np.concatenate((support.verts, slot_nodes.reshape(len(down), -1)), axis=1)
+    slot_nodes = n_corners + window.rows.slot_edges[:, :, None] * per_edge + np.arange(per_edge)
+    members = np.concatenate((window.rows.verts, slot_nodes.reshape(len(down), -1)), axis=1)
     # its sources: vertex m at row kind 3 + m and table row 0, then node m of
     # slot k at row kind k and row m + 1
     kinds = np.r_[3, 4, 5, np.repeat([0, 1, 2], per_edge)]
@@ -311,24 +310,24 @@ def on_one_edge(*points):
     )
 
 
-def reference_search(tess, weights, s, t, level):
-    """The level graph built arc by arc and searched with a heap of (cost, id).
+def reference_graph(tess, weights, level):
+    """The level graph built arc by arc from the finite cells: node positions
+    x and y, and each node's arcs as a dict {head: cost}.
 
     Nodes are numbered as the oracle numbers them: corners in corner order,
-    then 2**level - 1 nodes per distinct finite-cell edge, edges first seen
-    over cells in row-major order and slot order, each from its first end.
-    Arcs are every corner hop plus every pair of boundary nodes of a finite
-    cell, at the cell weight or the min-rule weight of an edge holding both.
+    then 2**level - 1 nodes per distinct edge of the window, edges first
+    seen over cells in row-major order and slot order, each from its first
+    end. Arcs are every finite corner hop plus every pair of boundary nodes
+    of a finite cell, at the cell weight or the min-rule weight of an edge
+    holding both, the least of them where several price one pair.
     A clique arc's length comes from the nodes' integer coordinates on the
     fine lattice of step 2**-level: node n of edge (a, b) sits at
     (P*i_a + n*(i_b - i_a), P*j_a + n*(j_b - j_a)) with P = 2**level, so
-    two nodes lie sqrt(dX**2 + 3*dY**2) / P apart. The path drops every
-    point whose path neighbours lie on one lattice edge with it.
-    Returns the cost and the point path; (inf, ()) when t is unreachable.
+    two nodes lie sqrt(dX**2 + 3*dY**2) / P apart.
     """
     corners = tess.corners
     finite = [c for c in tess.cells if math.isfinite(weights.effective(c))]
-    edges = list(dict.fromkeys(e for c in finite for e in cell_edges(c)))
+    edges = list(dict.fromkeys(e for c in tess.cells for e in cell_edges(c)))
     p = 2**level
     xs = [corner_position(c)[0] for c in corners]
     ys = [corner_position(c)[1] for c in corners]
@@ -342,7 +341,6 @@ def reference_search(tess, weights, s, t, level):
             xs.append(ax + f * (bx - ax))
             ys.append(ay + f * (by - ay))
             fine.append((p * a[0] + n * (b[0] - a[0]), p * a[1] + n * (b[1] - a[1])))
-    x, y = np.array(xs), np.array(ys)
     arcs = [dict() for _ in xs]
 
     def add(u, v, cost):
@@ -372,7 +370,18 @@ def reference_search(tess, weights, s, t, level):
                 if shared:
                     w = min(w, edge_weight(weights, shared.pop()))
                 add(u, v, w * d)
+    return np.array(xs), np.array(ys), arcs
 
+
+def reference_search(tess, weights, s, t, level):
+    """The reference graph searched with a heap of (cost, id).
+
+    The path drops every point whose path neighbours lie on one lattice
+    edge with it. Returns the cost and the point path; (inf, ()) when t is
+    unreachable.
+    """
+    x, y, arcs = reference_graph(tess, weights, level)
+    ids = tess.corner_ids
     si, ti = ids[s], ids[t]
     dist = {si: 0.0}
     parent = {}
@@ -504,6 +513,67 @@ def test_steiner_groups_hold_intp_heads_and_columns(case, level):
         assert heads.dtype == np.intp and idx.dtype == np.intp
 
 
+def least_arcs(blocks, u):
+    """Each head's least finite candidate over node u's blocks, but u's own."""
+    arcs = {}
+    for heads, cands in blocks:
+        for v, c in zip(heads.tolist(), cands.tolist()):
+            if v != u and c < arcs.get(v, INF):
+                arcs[v] = c
+    return arcs
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 3),
+)
+def test_window_layout_prices_the_finite_cells_arcs(rows, cols, blocked, seed, level):
+    # every level's nodes span the window; its priced arcs are the finite
+    # cells' own, matched by position, and no head is priced at infinity
+    tess, w = random_instance(seed, rows, cols, inf_prob=blocked)
+    s, t = endpoints(tess)
+    graph = oracle._SteinerGraph(oracle._SolveContext(tess, w, s, t, level), level)
+    for _, _, weights in graph.groups:
+        assert np.isfinite(weights).all()
+    x, y, arcs = reference_graph(tess, w, level)
+    at = {pos: k for k, pos in enumerate(zip(x.tolist(), y.tolist()))}
+    node = [at[pos] for pos in zip(graph.x.tolist(), graph.y.tolist())]
+    assert sorted(node) == list(range(len(x)))
+    for u, ref in enumerate(node):
+        got = least_arcs(graph._arcs(u, 0.0), u)
+        assert {node[v]: c for v, c in got.items()} == arcs[ref]
+    want_cost, want_path = reference_search(tess, w, s, t, level)
+    if math.isinf(want_cost):
+        with pytest.raises(UnreachableError):
+            approx_shortest_path(tess, w, s, t, level=level)
+    else:
+        got = approx_shortest_path(tess, w, s, t, level=level)
+        assert (got.cost, got.path) == (want_cost, want_path)
+
+
+def test_a_warm_shape_lays_out_no_level_one_graph(monkeypatch):
+    # level 1 reads the shape's cached layout; deeper levels lay out per solve
+    built = []
+    layout = oracle._steiner_layout
+
+    def counting(window, level, cells):
+        built.append(level)
+        return layout(window, level, cells)
+
+    monkeypatch.setattr(oracle, "_steiner_layout", counting)
+    inst = gen_random(6, 6, seed=8)
+    tess, w = inst.tessellation, inst.weights
+    ratio_report(tess, w, (2, 0), (6, 6), max_level=1)
+    built.clear()
+    rep = ratio_report(tess, w, (2, 0), (6, 6), max_level=3)
+    assert rep.level == 3
+    assert built == [2, 3]
+
+
 def test_level_7_build_peak_stays_under_the_old_layouts():
     inst = gen_random(10, 9, seed=3)
     ctx = oracle._SolveContext(inst.tessellation, inst.weights, inst.source, inst.target, 7)
@@ -514,7 +584,8 @@ def test_level_7_build_peak_stays_under_the_old_layouts():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(graph.x) == 18_476
+    # nodes span every edge of the window, those of its 10 blocked cells too
+    assert len(graph.x) == 19_111
     # the build with a (cells, 6, members) weight array and int32 columns
     # peaked at 9.68 MiB here
     assert peak <= 9.7 * 2**20
