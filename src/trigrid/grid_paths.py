@@ -15,8 +15,9 @@ this tie is left only for corner hops.
 All three path families run one search kernel, _frontier_search: a
 Dijkstra that keeps unsettled tentative distances in a dense array and
 settles its first minimum, with no heap. The grid-path solver relaxes a
-corner through its six lattice edges, the vertex-path solver through its
-row of hop costs, and the Steiner oracle adds its cell cliques. A settle
+corner through its six edges of the shape's _Lattice, the edges that carry
+the Steiner nodes; the vertex-path solver through its row of hop costs,
+and the Steiner oracle adds its cell cliques. A settle
 asks its callback for candidate distances, the settled distance already
 added, so the oracle can add it in place to the clique costs it has just
 priced, and keeps the strictly improved ones with boolean masks: gathering
@@ -30,14 +31,8 @@ from typing import Callable, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .metric import (
-    HOP_TABLE_CACHE_SIZE,
-    WeightMap,
-    _flat_cells,
-    _padded_weights,
-    corner_hop_table,
-)
-from .tessellation import Corner, Tessellation, adjacent_corners, edge_cells
+from .metric import HOP_TABLE_CACHE_SIZE, WeightMap, corner_hop_table
+from .tessellation import Corner, Tessellation, cell_edges, cell_vertices
 
 
 class UnreachableError(Exception):
@@ -62,51 +57,109 @@ def _check_endpoints(tess: Tessellation, weights: WeightMap, s: Corner, t: Corne
         raise ValueError("weight map shape does not match the window")
 
 
-# The six (di, dj) steps in adjacent_corners order, and the (row, col)
-# offsets of the two cells along each step's edge: the lattice is invariant
-# under corner translations, so the steps from the origin serve every corner
-_STEPS = np.array(adjacent_corners((0, 0)))
-_STEP_CELLS = np.array([edge_cells(((0, 0), step)) for step in adjacent_corners((0, 0))])
+def _reference_cell(down: int):
+    """The layout of cell (0, down), of which every cell of its orientation is
+    a translate: its cell_vertices as (di, dj) offsets from its (col, row),
+    and the vertex indices of each cell_edges slot's first and second end."""
+    cell = (0, down)
+    verts = cell_vertices(cell)
+    offsets = [(i - down, j) for i, j in verts]
+    return offsets, [[verts.index(c) for c in edge] for edge in cell_edges(cell)]
+
+
+_UP_CELL, _DOWN_CELL = _reference_cell(0), _reference_cell(1)
+# [vertex] -> ((di, dj) in an upward cell, (di, dj) in a downward one)
+_VERTEX_OFFSETS = tuple(zip(_UP_CELL[0], _DOWN_CELL[0]))
+# [down, slot] -> (first end, second end)
+_SLOT_ENDS = np.array((_UP_CELL[1], _DOWN_CELL[1]))
+
+
+class _Lattice:
+    """The edges of a window shape, numbered once for SGP and the Steiner graph.
+
+    verts (C, 3) holds each cell's cell_vertices as corner ids and
+    slot_edges (C, 3) its cell_edges slots' edges, cells in row-major order.
+    edges (E, 2) holds each edge's ends in corner order, numbered as cells
+    first see them, row-major and slot by slot: a cell's slot 0 (left edge)
+    is seen first by its left neighbour and an upward cell's slot 2 (bottom
+    edge) by the cell below, every other slot by the cell. edge_cells (2, E)
+    holds each edge's first and second seer, the first twice on the border.
+    arc_heads and arc_edges (n_corners, 6) hold the far end and edge of each
+    corner's steps in adjacent_corners order; a step off the window runs to
+    the corner itself along edge E, which _edge_weights prices at infinity.
+    Every solve of the shape shares these arrays, so they are read-only."""
+
+    def __init__(self, tess: Tessellation):
+        rows, cols, grid = tess.rows, tess.cols, tess.corner_grid
+        # a vertex sits at its upward offset in an upward cell and at its
+        # downward one in a downward cell; at the other orientation's offset
+        # i + j is odd and the grid reads -1, so the larger id is the vertex
+        verts = np.empty((rows, cols, 3), dtype=grid.dtype)
+        for v, ((ui, uj), (di, dj)) in enumerate(_VERTEX_OFFSETS):
+            up_at = grid[uj : uj + rows, ui : ui + cols]
+            np.maximum(up_at, grid[dj : dj + rows, di : di + cols], out=verts[..., v])
+        up = grid[:rows, :cols] >= 0
+        first = np.ones((rows, cols, 3), dtype=bool)
+        first[:, 1:, 0] = False
+        np.logical_not(up[1:], out=first[1:, :, 2])
+        ids = np.cumsum(first).reshape(rows, cols, 3)
+        ids -= 1
+        # a downward neighbour sees its slots 1 and 2 first, one after the other,
+        # so its slot 2's id is its slot 1's plus one
+        np.add(ids[:, :-1, 1], up[:, 1:], out=ids[:, 1:, 0])
+        np.copyto(ids[1:, :, 2], ids[:-1, :, 1], where=up[1:])
+        edges = verts[..., _SLOT_ENDS[0]][first]
+        edges.sort(axis=1)
+
+        n_cells = rows * cols
+        self.verts, self.slot_edges = verts.reshape(n_cells, 3), ids.reshape(n_cells, 3)
+        # each edge's first seer (edges are numbered in first-seen order),
+        # then its second, where it has one
+        seer, first = np.repeat(np.arange(n_cells), 3), first.ravel()
+        self.edge_cells = np.array((seer[first], seer[first]))
+        second = ~first
+        self.edge_cells[1, self.slot_edges.ravel()[second]] = seer[second]
+        self.edges = edges
+
+        # an edge runs from its first end a to b by (2, 0), (-1, 1) or (1, 1):
+        # adjacent_corners steps 3, 4 and 5 of a, and steps 2, 1 and 0 of b
+        a, b = edges.T
+        ci, cj = tess.corner_array.T
+        dj = cj[b] - cj[a]
+        step = 3 + dj + dj * (ci[b] > ci[a])
+        at_a, at_b = a * 6 + step, b * 6 + 5 - step
+        n_corners = len(tess.corners)
+        self.arc_heads = np.repeat(np.arange(n_corners), 6)
+        self.arc_edges = np.full(6 * n_corners, len(edges))
+        self.arc_heads[at_a], self.arc_heads[at_b] = b, a
+        self.arc_edges[at_a] = self.arc_edges[at_b] = np.arange(len(edges))
+        self.arc_heads.shape = self.arc_edges.shape = (n_corners, 6)
+        for arr in vars(self).values():
+            arr.setflags(write=False)
 
 
 # Kept for as many window shapes as hop tables are, least recently used first
 @functools.lru_cache(maxsize=HOP_TABLE_CACHE_SIZE)
-def _grid_layout(tess: Tessellation) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n_corners, 6) heads of every corner's lattice edges, and the padded
-    weight grid's flat indices of the two cells along each edge.
+def _lattice(tess: Tessellation) -> _Lattice:
+    """The shape's shared edge layout; the shape fully determines it."""
+    return _Lattice(tess)
 
-    A step off the window is an arc from the corner to itself. Both cells
-    along its edge lie outside the window, so it costs infinity and never
-    relaxes.
-    """
-    ci, cj = tess.corner_array.T
-    # corners fill corner_grid at even i + j (Tessellation.valid_corner), and
-    # steps move j by at most 1 and i by at most 2, so this margin reads -1
-    padded = np.full((tess.rows + 3, tess.cols + 6), -1)
-    padded[1:-1, 2:-2] = tess.corner_grid
-    heads = padded[cj[:, None] + _STEPS[:, 1] + 1, ci[:, None] + _STEPS[:, 0] + 2]
-    cells = _flat_cells(
-        tess.cols, cj[:, None, None] + _STEP_CELLS[..., 0], ci[:, None, None] + _STEP_CELLS[..., 1]
-    )
-    off = heads < 0
-    heads[off] = np.nonzero(off)[0]
-    layout = (heads, np.ascontiguousarray(cells[..., 0]), np.ascontiguousarray(cells[..., 1]))
-    for a in layout:
-        a.setflags(write=False)
-    return layout
+
+def _edge_weights(edge_cells: np.ndarray, cell_w: np.ndarray) -> np.ndarray:
+    """Each window edge's min-rule weight, the lesser of its edge_cells'
+    (_Lattice) raveled weights cell_w; then infinity, for the padding edge E."""
+    w = np.full(edge_cells.shape[1] + 1, np.inf)
+    np.minimum(cell_w[edge_cells[0]], cell_w[edge_cells[1]], out=w[:-1])
+    return w
 
 
 def _grid_arcs(tess: Tessellation, weights: WeightMap) -> Tuple[np.ndarray, np.ndarray]:
-    """(n_corners, 6) heads and costs of every corner's lattice edges.
-
-    The heads and cells come from the shape's cached layout, and the cells
-    are priced from the padded weight grid the hop tables price from.
-    """
-    heads, cells_a, cells_b = _grid_layout(tess)
-    padded = _padded_weights(weights)
-    costs = np.minimum(padded[cells_a], padded[cells_b])
+    """(n_corners, 6) heads and costs of every corner's lattice edges: every
+    edge has length 2, so an arc costs twice its edge's min-rule weight."""
+    lattice = _lattice(tess)
+    costs = _edge_weights(lattice.edge_cells, weights.values.ravel()).take(lattice.arc_edges)
     costs *= 2.0
-    return heads, costs
+    return lattice.arc_heads, costs
 
 
 def shortest_grid_path(

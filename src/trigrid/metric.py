@@ -164,25 +164,12 @@ def _check_table_budget(tess: Tessellation) -> None:
                 )
 
 
-# Pricing reads cells from one copy of the weight grid inside a border of
-# infinite weight, raveled. Walks between window corners name rows -1..rows
-# and columns -1..cols, and the six lattice steps of a window corner rows
-# -1..rows and columns -2..cols + 1, so this border holds every cell either
-# names, and a cell outside the window reads infinity with no bounds test.
-_PAD_ROWS, _PAD_COLS = 1, 2
-
-
-def _padded_weights(weights: WeightMap) -> np.ndarray:
-    """The raveled weight grid inside its infinite border; see _flat_cells."""
-    rows, cols = weights.rows, weights.cols
-    grid = np.full((rows + 2 * _PAD_ROWS, cols + 2 * _PAD_COLS), np.inf)
-    grid[_PAD_ROWS : _PAD_ROWS + rows, _PAD_COLS : _PAD_COLS + cols] = weights.values
-    return grid.ravel()
-
-
-def _flat_cells(cols: int, row, col):
-    """Index of cell (row, col) in the padded grid of a window cols wide."""
-    return (row + _PAD_ROWS) * (cols + 2 * _PAD_COLS) + (col + _PAD_COLS)
+# Hop walks read their cells from one copy of the weight grid inside a border
+# of infinite weight, raveled. Walks between window corners name rows
+# -1..rows and columns -1..cols (_check_padding refuses any other), so this
+# border holds every cell they name, and a cell outside the window reads
+# infinity with no bounds test.
+_PAD_ROWS, _PAD_COLS = 1, 1
 
 
 class CornerHopTable:
@@ -194,8 +181,8 @@ class CornerHopTable:
     corner order have b - a in canonical form (dj > 0, or dj == 0 and
     di > 0), so each pair's pieces are gathered from the shared origin walk
     of its displacement and shifted onto a. A piece holds its length, its
-    pair and both of its cells as int32 indices into the padded weight grid
-    (_padded_weights): 20 bytes. A window over MAX_HOP_PIECES pieces is
+    pair and both of its cells as int32 indices into the raveled padded
+    weight grid: 20 bytes. A window over MAX_HOP_PIECES pieces is
     refused.
     """
 
@@ -234,9 +221,11 @@ class CornerHopTable:
         offset = starts[inverse] - (np.cumsum(per_pair) - per_pair)
         src = np.repeat(offset.astype(np.int32), per_pair)
         src += np.arange(len(src), dtype=np.int32)
-        # a cell's index is its origin walk's index plus its pair's first corner's
+        # a cell's index is its origin walk's plus that of its pair's first
+        # corner (i, j), which shifts the walk's cells by (j, i)
         width = self.cols + 2 * _PAD_COLS
-        shift = np.repeat(_flat_cells(self.cols, cj[ai], ci[ai]).astype(np.int32), per_pair)
+        first = (cj[ai] + _PAD_ROWS) * width + ci[ai] + _PAD_COLS
+        shift = np.repeat(first.astype(np.int32), per_pair)
 
         self.n_corners = n
         self.pairs = np.stack((ai, bi), axis=1).astype(np.int32)
@@ -251,7 +240,10 @@ class CornerHopTable:
         """Dense symmetric matrix of straight-hop costs between all corners."""
         if (weights.rows, weights.cols) != (self.rows, self.cols):
             raise ValueError("weight map shape does not match the table")
-        padded = _padded_weights(weights)
+        rows, cols = self.rows, self.cols
+        grid = np.full((rows + 2 * _PAD_ROWS, cols + 2 * _PAD_COLS), np.inf)
+        grid[_PAD_ROWS : _PAD_ROWS + rows, _PAD_COLS : _PAD_COLS + cols] = weights.values
+        padded = grid.ravel()
         contrib = np.minimum(padded[self.flat_a], padded[self.flat_b]) * self.lengths
         per_pair = np.bincount(self.pair_idx, weights=contrib, minlength=len(self.pairs))
         m = np.zeros((self.n_corners, self.n_corners))

@@ -43,17 +43,17 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .grid_paths import UnreachableError, _check_endpoints, _frontier_search, _hop_search
-from .metric import HOP_TABLE_CACHE_SIZE, WeightMap, corner_hop_table
-from .tessellation import (
-    SQRT3,
-    Corner,
-    Point,
-    Tessellation,
-    cell_edges,
-    cell_vertices,
-    corner_position,
+from .grid_paths import (
+    _SLOT_ENDS,
+    UnreachableError,
+    _check_endpoints,
+    _edge_weights,
+    _frontier_search,
+    _hop_search,
+    _lattice,
 )
+from .metric import HOP_TABLE_CACHE_SIZE, WeightMap, corner_hop_table
+from .tessellation import SQRT3, Corner, Point, Tessellation, corner_position
 
 logger = logging.getLogger(__name__)
 
@@ -67,21 +67,6 @@ MAX_STEINER_NODES = 2_000_000
 MAX_LEVEL = 10
 
 
-def _reference_cell(down: int):
-    """The layout of cell (0, down), of which every cell of its orientation is
-    a translate: its cell_vertices as (di, dj) offsets from its (col, row),
-    and the vertex indices of each cell_edges slot's first and second end."""
-    cell = (0, down)
-    verts = cell_vertices(cell)
-    offsets = [(i - down, j) for i, j in verts]
-    return offsets, [[verts.index(c) for c in edge] for edge in cell_edges(cell)]
-
-
-_UP_CELL, _DOWN_CELL = _reference_cell(0), _reference_cell(1)
-# [vertex] -> ((di, dj) in an upward cell, (di, dj) in a downward one)
-_VERTEX_OFFSETS = tuple(zip(_UP_CELL[0], _DOWN_CELL[0]))
-# [down, slot] -> (first end, second end)
-_SLOT_ENDS = np.array((_UP_CELL[1], _DOWN_CELL[1]))
 # the row kinds of a cell's vertex rows, then of its slot rows
 _ROW_KINDS = np.array([[[3, 4, 5]], [[0, 1, 2]]])
 
@@ -178,74 +163,38 @@ class _Rows(NamedTuple):
     """Some cells, verts (C, 3) their cell_vertices as corner ids and
     slot_edges (C, 3) their cell_edges slots' edges, and their stacked rows:
     each cell's rows 3-5 (its vertices), then each cell's rows 0-2 (its
-    slots). A row of cell cell relaxes group (a corner, or n_corners + an
-    edge), reads _clique_table's columns[columns // 6, columns % 6] and
-    prices its members with w: its cell's three slot min-rule weights, then
-    the cell's, as weights or as indices into a solve's weight vector."""
+    slots), so row r is cell r // 3 % C's. A row relaxes group (a corner or
+    n_corners + an edge), reads _clique_table's columns[columns // 6, columns
+    % 6] and prices its members with w: its cell's slot min-rule weights and
+    then its weight, as weights or as indices into a solve's weight vector."""
 
     verts: np.ndarray
     slot_edges: np.ndarray
-    cell: np.ndarray
     group: np.ndarray
     columns: np.ndarray
     w: np.ndarray
 
 
 class _Window:
-    """The Steiner layout of a window shape, as if no cell were blocked.
-
-    rows holds every cell, in row-major order, with weight indices. edges
-    (E, 2) holds each edge's ends in corner order, in the order cells first
-    see them, row-major and slot by slot; edge_cells (2, E) the cells that
-    see each edge first and second, the first twice on the window's border.
-    The edge order is closed form. A cell's slot 0 is its left edge, which
-    its left neighbour saw first: as slot 2 when that neighbour points down
-    (so the cell points up), as slot 1 when it points up. An upward cell's
-    slot 2 is its bottom edge, which the cell below saw first as slot 1.
-    Every other slot sees its edge first.
-
-    Solves of the shape share these arrays and level_one, the level-1
-    layout of every cell, and read them only through gathers, which copy.
-    """
+    """The Steiner layout of a window shape, as if no cell were blocked, on
+    the shape's lattice (grid_paths._Lattice): edges and edge_cells are the
+    lattice's arrays, and rows stacks every cell's rows, in row-major order,
+    with weight indices. Solves of the shape share these arrays and
+    level_one, the level-1 layout of every cell, and read them only through
+    gathers, which copy."""
 
     def __init__(self, tess: Tessellation):
-        rows, cols, grid = tess.rows, tess.cols, tess.corner_grid
-        # a vertex sits at its upward offset in an upward cell and at its
-        # downward one in a downward cell; at the other orientation's offset
-        # i + j is odd and the grid reads -1, so the larger id is the vertex
-        verts = np.empty((rows, cols, 3), dtype=grid.dtype)
-        for v, ((ui, uj), (di, dj)) in enumerate(_VERTEX_OFFSETS):
-            up_at = grid[uj : uj + rows, ui : ui + cols]
-            np.maximum(up_at, grid[dj : dj + rows, di : di + cols], out=verts[..., v])
-        up = grid[:rows, :cols] >= 0
-        first = np.ones((rows, cols, 3), dtype=bool)
-        first[:, 1:, 0] = False
-        np.logical_not(up[1:], out=first[1:, :, 2])
-        ids = np.cumsum(first).reshape(rows, cols, 3)
-        ids -= 1
-        # a downward neighbour sees its slots 1 and 2 first, one after the other,
-        # so its slot 2's id is its slot 1's plus one
-        np.add(ids[:, :-1, 1], up[:, 1:], out=ids[:, 1:, 0])
-        np.copyto(ids[1:, :, 2], ids[:-1, :, 1], where=up[1:])
-        edges = verts[..., _SLOT_ENDS[0]][first]
-        edges.sort(axis=1)
-
-        n_cells = rows * cols
-        verts, ids = verts.reshape(n_cells, 3), ids.reshape(n_cells, 3)
-        row_cell = np.arange(6 * n_cells) // 3 % n_cells
-        # each edge's first seer (edges are numbered in first-seen order),
-        # then its second, where it has one
-        seer, first = row_cell[: 3 * n_cells], first.ravel()
-        self.edge_cells = np.array((seer[first], seer[first]))
-        second = ~first
-        self.edge_cells[1, ids.ravel()[second]] = seer[second]
-        self.edges = edges
+        lattice = _lattice(tess)
+        self.edges, self.edge_cells = lattice.edges, lattice.edge_cells
+        verts, ids = lattice.verts, lattice.slot_edges
+        n_cells, n_corners = len(verts), len(tess.corners)
+        up = tess.corner_grid[: tess.rows, : tess.cols] >= 0
         self.corner_xy = (tess.corner_array * (1.0, SQRT3)).T
-        self.corner_heads = np.arange(len(tess.corners))
-        group = np.concatenate((verts.ravel(), len(tess.corners) + ids.ravel()))
+        self.corner_heads = np.arange(n_corners)
+        group = np.concatenate((verts.ravel(), n_corners + ids.ravel()))
         columns = (np.where(up, 0, 6).reshape(1, -1, 1) + _ROW_KINDS).ravel()
-        w = np.concatenate((n_cells + ids, np.arange(n_cells)[:, None]), axis=1)[row_cell]
-        self.rows = _Rows(verts, ids, row_cell, group, columns, w)
+        w = np.concatenate((n_cells + ids, np.arange(n_cells)[:, None]), axis=1)
+        self.rows = _Rows(verts, ids, group, columns, w[np.arange(6 * n_cells) // 3 % n_cells])
 
     @functools.cached_property
     def level_one(self) -> tuple:
@@ -276,8 +225,9 @@ def _steiner_layout(window: _Window, level: int, cells: _Rows) -> tuple:
     along = (a + fractions * (b - a)).reshape(2, -1)
     x, y = np.concatenate((window.corner_xy, along), axis=1)
     n_nodes = len(x)
-    verts, slot_edges, row_cell, row_group, row_columns, row_w = cells
+    verts, slot_edges, row_group, row_columns, row_w = cells
     n_cells = len(verts)
+    row_cell = np.arange(6 * n_cells) // 3 % n_cells
 
     # each stacked row's node ids, in the local layout of its cell (3
     # vertices, then per_edge nodes per slot), offset by its group, so
@@ -411,18 +361,18 @@ class _SteinerGraph:
 
 
 class _SolveContext:
-    """What no level of one s-t solve changes: the shape's layout
-    (_window_support), hop costs (none if s == t), and the weight vector w
-    that prices every level's graph: the cell weights in row-major order,
-    then each window edge's min-rule weight, the lesser of its cells',
-    infinite where they are all blocked. solve() drops each level's graph
-    on return, so no two levels' graphs are alive at once."""
+    """What no level of one s-t solve changes, none of it built if s == t:
+    the shape's layout (_window_support), hop costs, and the weight vector w
+    that prices every level's graph, the cell weights in row-major order,
+    then grid_paths._edge_weights. solve() drops each level's graph on
+    return, so no two levels' graphs are alive at once."""
 
     def __init__(
         self, tess: Tessellation, weights: WeightMap, s: Corner, t: Corner, max_level: int
     ):
-        """Refuses bad endpoints, and a max_level over MAX_LEVEL or past
-        MAX_STEINER_NODES, before anything of that size is allocated."""
+        """Refuses bad endpoints, a max_level over MAX_LEVEL or past
+        MAX_STEINER_NODES and, unless s == t, a window over the hop-table
+        budget, before anything of that size is allocated."""
         _check_endpoints(tess, weights, s, t)
         if max_level < 0:
             raise ValueError("refinement level must be non-negative")
@@ -431,28 +381,32 @@ class _SolveContext:
                 f"refinement level {max_level} is over the budget of level {MAX_LEVEL}: "
                 "a level's distance table grows as 4**level"
             )
-        self.window = _window_support(tess)
-        if len(tess.corners) + len(self.window.edges) * (2 ** max_level - 1) > MAX_STEINER_NODES:
+        # counted with no layout: the corners are every other point of a (rows + 1)
+        # x (cols + 2) grid, its first too, and by Euler's formula edges number
+        # corners + cells - 1
+        n_corners = ((tess.rows + 1) * (tess.cols + 2) + 1) // 2
+        n_edges = n_corners + tess.rows * tess.cols - 1
+        if n_corners + n_edges * (2 ** max_level - 1) > MAX_STEINER_NODES:
             raise ValueError(
                 f"refinement level {max_level} needs more than the budget of "
                 f"{MAX_STEINER_NODES} Steiner nodes"
             )
         self.s, self.t, self.max_level = s, t, max_level
+        if s == t:
+            return
+        self.hop_matrix = corner_hop_table(tess).cost_matrix(weights)
         self.si, self.ti = tess.corner_ids[s], tess.corner_ids[t]
-        self.hop_matrix = None if s == t else corner_hop_table(tess).cost_matrix(weights)
+        self.window = _window_support(tess)
         cell_w = weights.values.ravel()
-        first, second = self.window.edge_cells
-        self.w = np.concatenate((cell_w, np.minimum(cell_w[first], cell_w[second])))
+        self.w = np.concatenate((cell_w, _edge_weights(self.window.edge_cells, cell_w)))
 
     @functools.cached_property
     def finite_rows(self) -> _Rows:
         """The finite cells' rows, priced: what every level past 1 lays out."""
-        verts, slot_edges, _, group, columns, w = self.window.rows
+        verts, slot_edges, group, columns, w = self.window.rows
         cells = np.isfinite(self.w[: len(verts)])
         rows = np.tile(np.repeat(cells, 3), 2)  # each cell's vertex rows, then its slot rows
-        k = np.count_nonzero(cells)
-        cell, priced = np.arange(6 * k) // 3 % k, self.w[w[rows]]
-        return _Rows(verts[cells], slot_edges[cells], cell, group[rows], columns[rows], priced)
+        return _Rows(verts[cells], slot_edges[cells], group[rows], columns[rows], self.w[w[rows]])
 
     def solve(self, level: int) -> OracleResult:
         """The level's path, logging its nodes, settles and cost at DEBUG."""

@@ -61,17 +61,18 @@ def test_every_package_cache_has_a_finite_maxsize():
 
 def test_every_per_shape_cache_shares_the_hop_table_bound():
     # a cache keyed by window shape holds one entry per shape, as the hop
-    # tables do, so every such cache keeps as many shapes as they do
+    # tables do, so every such cache keeps as many shapes as they do; and
+    # there are just three of them, so the window's edges have one layout
     caches, _ = package_caches()
     per_shape = {
         name
         for name, fn in caches.items()
         if next(iter(inspect.signature(fn).parameters.values())).annotation is Tessellation
     }
-    assert {
-        "trigrid.grid_paths._grid_layout",
+    assert per_shape == {
+        "trigrid.grid_paths._lattice",
         "trigrid.metric.corner_hop_table",
         "trigrid.oracle._window_support",
-    } <= per_shape
+    }
     for name in per_shape:
         assert caches[name].cache_parameters()["maxsize"] == HOP_TABLE_CACHE_SIZE, name

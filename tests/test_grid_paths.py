@@ -6,10 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigrid.analysis import ratio_report
-from trigrid import metric
 from trigrid.grid_paths import (
-    _STEP_CELLS,
-    _STEPS,
     InvalidCornerError,
     PathResult,
     UnreachableError,
@@ -27,6 +24,7 @@ from trigrid.tessellation import (
     adjacent_corners,
     are_adjacent,
     corner_position,
+    edge_cells,
 )
 
 INF = math.inf
@@ -339,19 +337,36 @@ def test_grid_reference_cases_cover_blocked_cells_and_ties():
     assert math.isinf(reference_grid_search(*_cut())[0])
 
 
+def finite_arcs(heads, costs):
+    """Each corner's arcs of finite cost, as a set of (head, cost) pairs."""
+    return [
+        {(int(v), float(c)) for v, c in zip(row_heads, row_costs) if c < INF}
+        for row_heads, row_costs in zip(heads, costs)
+    ]
+
+
+def assert_steps_off_the_window_cost_infinity(heads, costs):
+    # an arc from a corner to itself pads a step off the window, which runs
+    # along no window edge
+    assert (costs[heads == np.arange(len(heads))[:, None]] == INF).all()
+
+
 def test_grid_arcs_reach_window_neighbors_only():
     tess = Tessellation(3, 4)
     heads, costs = _grid_arcs(tess, WeightMap(np.ones((3, 4))))
+    arcs = finite_arcs(heads, costs)
     ids = tess.corner_ids
 
     def reached(corner):
-        u = ids[corner]
-        return [tess.corners[v] for v in heads[u] if v != u]
+        return {(tess.corners[v], c) for v, c in arcs[ids[corner]]}
 
-    assert reached((0, 0)) == [(2, 0), (1, 1)]
-    assert reached((2, 2)) == [(1, 1), (3, 1), (0, 2), (4, 2), (1, 3), (3, 3)]
-    # unit weights price every edge at 2; steps off the window never relax
-    assert np.array_equal(costs == 2.0, heads != np.arange(len(heads))[:, None])
+    # unit weights price every edge at 2
+    assert reached((0, 0)) == {((2, 0), 2.0), ((1, 1), 2.0)}
+    neighbors = [(1, 1), (3, 1), (0, 2), (4, 2), (1, 3), (3, 3)]
+    assert reached((2, 2)) == {(c, 2.0) for c in neighbors}
+    # an inner corner's row lists its steps in adjacent_corners order
+    assert [tess.corners[v] for v in heads[ids[(2, 2)]]] == list(adjacent_corners((2, 2)))
+    assert_steps_off_the_window_cost_infinity(heads, costs)
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (5, 6), (24, 24)])
@@ -362,25 +377,30 @@ def test_grid_arcs_price_every_step_by_the_min_rule(rows, cols):
     w = WeightMap(vals)
     tess = Tessellation(rows, cols)
     heads, costs = _grid_arcs(tess, w)
-    for u, corner in enumerate(tess.corners):
-        for k, step in enumerate(adjacent_corners(corner)):
-            if tess.valid_corner(step):
-                assert tess.corners[heads[u, k]] == step
-                assert costs[u, k] == grid_edge_cost(w, corner, step)
-            else:
-                assert heads[u, k] == u and costs[u, k] == INF
+    for corner, got in zip(tess.corners, finite_arcs(heads, costs)):
+        steps = [c for c in adjacent_corners(corner) if tess.valid_corner(c)]
+        want = {(tess.corner_ids[c], grid_edge_cost(w, corner, c)) for c in steps}
+        assert got == {(v, c) for v, c in want if c < INF}
+    assert_steps_off_the_window_cost_infinity(heads, costs)
 
 
 def per_call_grid_arcs(tess, weights):
-    """_grid_arcs as it was built on every call, with no per-shape layout."""
+    """Every corner's six lattice steps, in adjacent_corners order, and their
+    costs, built per call from a corner grid and a weight grid inside a
+    border that holds every step: steps move i by up to 2, and their cells
+    lie up to 2 columns off the window. A step off the window is an arc from
+    the corner to itself."""
+    steps = adjacent_corners((0, 0))
+    step_cells = np.array([edge_cells(((0, 0), step)) for step in steps])
+    steps = np.array(steps)
     ci, cj = tess.corner_array.T
     padded = np.full((tess.rows + 3, tess.cols + 6), -1)
     padded[1:-1, 2:-2] = tess.corner_grid
-    heads = padded[cj[:, None] + _STEPS[:, 1] + 1, ci[:, None] + _STEPS[:, 0] + 2]
-    cells = metric._flat_cells(
-        tess.cols, cj[:, None, None] + _STEP_CELLS[..., 0], ci[:, None, None] + _STEP_CELLS[..., 1]
-    )
-    costs = 2.0 * metric._padded_weights(weights)[cells].min(axis=2)
+    heads = padded[cj[:, None] + steps[:, 1] + 1, ci[:, None] + steps[:, 0] + 2]
+    grid = np.full((tess.rows + 2, tess.cols + 4), INF)
+    grid[1:-1, 2:-2] = weights.values
+    rows, cols = cj[:, None, None] + step_cells[..., 0], ci[:, None, None] + step_cells[..., 1]
+    costs = 2.0 * grid[rows + 1, cols + 2].min(axis=2)
     off = heads < 0
     heads[off] = np.nonzero(off)[0]
     return heads, costs
@@ -389,10 +409,12 @@ def per_call_grid_arcs(tess, weights):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12), st.floats(0.05, 0.9), st.integers(0, 2**31 - 1))
 def test_grid_arcs_match_a_per_call_build(rows, cols, blocked, seed):
-    # heads and cells come from a layout cached per window shape
+    # heads and edges come from a lattice layout cached per window shape
     rng = np.random.default_rng(seed)
     vals = rng.uniform(0.1, 10.0, size=(rows, cols))
     vals[rng.random((rows, cols)) < blocked] = INF
     tess, w = Tessellation(rows, cols), WeightMap(vals)
-    for got, want in zip(_grid_arcs(tess, w), per_call_grid_arcs(tess, w)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    got, want = _grid_arcs(tess, w), per_call_grid_arcs(tess, w)
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert finite_arcs(*got) == finite_arcs(*want)
+    assert_steps_off_the_window_cost_infinity(*got)

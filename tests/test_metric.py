@@ -260,7 +260,8 @@ def unique_hop_table(tess):
     src = np.repeat((starts[inverse] - (np.cumsum(per_pair) - per_pair)).astype(np.int32), per_pair)
     src += np.arange(len(src), dtype=np.int32)
     width = tess.cols + 2 * metric._PAD_COLS
-    shift = np.repeat(metric._flat_cells(tess.cols, cj[ai], ci[ai]).astype(np.int32), per_pair)
+    first_cell = (cj[ai] + metric._PAD_ROWS) * width + ci[ai] + metric._PAD_COLS
+    shift = np.repeat(first_cell.astype(np.int32), per_pair)
     flat = []
     for side in ("cells_a", "cells_b"):
         cells = np.concatenate([getattr(w, side) for w in walks])

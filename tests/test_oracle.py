@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from trigrid.grid_paths import (
     UnreachableError,
-    _grid_layout,
+    _lattice,
     shortest_grid_path,
     shortest_vertex_path,
 )
-from trigrid import oracle
+from trigrid import grid_paths, oracle
 from trigrid.analysis import ratio_report
 from trigrid.instances import gen_random, gen_strip, gen_svp_witness, gen_two_weight_maze
 from trigrid.metric import WeightMap, corner_hop_table, edge_weight, segment_cost
@@ -188,6 +188,41 @@ def test_steiner_node_budget_refuses_big_windows_before_building():
     assert nodes < oracle.MAX_STEINER_NODES
 
 
+def test_node_budget_counts_every_window_edge_before_laying_it_out(monkeypatch):
+    # s == t builds no layout, and the budget is checked all the same
+    for rows in range(1, 30):
+        for cols in range(1, 30):
+            tess, ones = Tessellation(rows, cols), WeightMap(np.ones((rows, cols)))
+            n_edges = len(grid_paths._Lattice(tess).edges)
+            for level in (1, 7):
+                nodes = len(tess.corners) + n_edges * (2**level - 1)
+                monkeypatch.setattr(oracle, "MAX_STEINER_NODES", nodes)
+                oracle._SolveContext(tess, ones, (0, 0), (0, 0), level)
+                monkeypatch.setattr(oracle, "MAX_STEINER_NODES", nodes - 1)
+                with pytest.raises(ValueError, match="Steiner nodes"):
+                    oracle._SolveContext(tess, ones, (0, 0), (0, 0), level)
+
+
+def test_an_over_budget_window_is_refused_before_it_is_laid_out():
+    # an 800x800 window passes the level-1 node budget, and its hop table
+    # refuses it; a layout built first would stay cached, 326 MiB of it
+    tess, ones = Tessellation(800, 800), WeightMap(np.ones((800, 800)))
+    layouts = (_lattice, oracle._window_support)
+    for cache in layouts:
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="hop table"):
+            approx_shortest_path(tess, ones, (0, 0), (2, 0), level=1)
+        # nor does a query with s == t lay anything out
+        assert approx_shortest_path(tess, ones, (0, 0), (0, 0), level=1).cost == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 33 * 2**20
+    assert [cache.cache_info().currsize for cache in layouts] == [0, 0]
+
+
 def test_node_budget_admits_level_7_on_24x24():
     tess = Tessellation(24, 24)
     ones = WeightMap(np.ones((24, 24)))
@@ -235,10 +270,13 @@ def test_steiner_support_matches_the_np_unique_order(rows, cols):
 
 
 def test_equal_windows_share_one_cached_layout():
-    for layout in (oracle._window_support, _grid_layout, corner_hop_table):
+    for layout in (oracle._window_support, _lattice, corner_hop_table):
         assert layout(Tessellation(3, 4)) is layout(Tessellation(3, 4))
-    level_one = oracle._window_support(Tessellation(3, 4)).level_one
-    assert oracle._window_support(Tessellation(3, 4)).level_one is level_one
+    window = oracle._window_support(Tessellation(3, 4))
+    assert window.level_one is oracle._window_support(Tessellation(3, 4)).level_one
+    # the Steiner window reads the lattice's edges, not a copy of its own
+    lattice = _lattice(Tessellation(3, 4))
+    assert window.edges is lattice.edges and window.edge_cells is lattice.edge_cells
 
 
 def fine_coordinates(tess, window, level):
