@@ -5,8 +5,8 @@ the weighted region metric (metric), solvers for the three path families
 (grid_paths, oracle), and the machinery that certifies the
 grid-versus-unrestricted cost ratio bound of 2/sqrt(3) (analysis). The
 grid-path and vertex-path solvers are exact, the Steiner-refinement oracle
-approximates unrestricted paths, and all three run one search,
-grid_paths._frontier_search. Instance files, generators, and SVG export
+approximates unrestricted paths, and all three share one search contract,
+run over Python lists or a dense frontier array (grid_paths). Instance files, generators, and SVG export
 live in instances; a command line ties it together in cli.
 
 The package exports the names the README and the command line use; every

@@ -12,22 +12,35 @@ float sums can round apart, and then the cheaper rounding is reported. The
 Steiner oracle reports a run along one lattice edge as one hop, so there
 this tie is left only for corner hops.
 
-All three path families run one search kernel, _frontier_search: a
-Dijkstra that keeps unsettled tentative distances in a dense array and
-settles its first minimum, with no heap. The grid-path solver relaxes a
-corner through its six edges of the shape's _Lattice, the edges that carry
-the Steiner nodes; the vertex-path solver through its row of hop costs,
-and the Steiner oracle adds its cell cliques. A settle
-asks its callback for candidate distances, the settled distance already
-added, so the oracle can add it in place to the clique costs it has just
-priced, and keeps the strictly improved ones with boolean masks: gathering
-their positions with nonzero and take instead measured slower, on the
-six heads of a grid step and on the hundreds of a deep Steiner level.
+All three path families share one search contract: a Dijkstra from si to
+ti that settles nodes in (cost, node id) order, writes a tentative
+distance only where it improves strictly, and returns (cost, node path,
+nodes settled), (inf, [], settled) when ti is unreachable. Two frontiers
+keep it, and a solver picks the one that suits the length of its rows.
+_list_search keeps distances in Python lists and pops a heap of (cost,
+node id) pairs: it settles the grid-path solver, whose corners relax
+through their six edges of the shape's _Lattice, the edges that carry
+the Steiner nodes, and the Steiner oracle's level 1 on windows of at
+most 80 corners. On rows that short a numpy call costs more than the
+arithmetic: SGP ran 2.0-2.4x faster over lists than on the dense
+frontier from 4x5 to 16x16. _frontier_search keeps unsettled tentative
+distances in a dense array and settles its first minimum, with no heap:
+it settles the vertex-path solver, whose corners relax through their row
+of hop costs to every corner, and the oracle's level 0, its level 1 on
+wider windows and its deeper levels, whose cliques run to hundreds of
+heads. There a settle asks its callback for candidate distances, the
+settled distance already added, so the oracle can add it in place to
+the clique costs it has just priced, and keeps the strictly improved
+ones with boolean masks: gathering their positions with nonzero and take
+instead measured slower, on the six heads of a grid step and on the
+hundreds of a deep Steiner level. On hop rows the list search was 0.92x
+the dense frontier's time at 28 corners (6x6) and 1.18x at 41 (8x7).
 """
 
 import functools
+import heapq
 import math
-from typing import Callable, Iterable, List, NamedTuple, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -169,12 +182,9 @@ def shortest_grid_path(
     _check_endpoints(tess, weights, s, t)
     if s == t:
         return PathResult((s,), 0.0)
-    heads, costs = _grid_arcs(tess, weights)
-    cost, path, _ = _frontier_search(
-        len(heads),
-        tess.corner_ids[s],
-        tess.corner_ids[t],
-        lambda u, d: ((heads[u], d + costs[u]),),
+    heads, costs = (arr.tolist() for arr in _grid_arcs(tess, weights))
+    cost, path, _ = _list_search(
+        len(heads), tess.corner_ids[s], tess.corner_ids[t], lambda u: ((heads[u], costs[u]),)
     )
     if math.isinf(cost):
         raise UnreachableError(f"no finite-cost grid path from {s!r} to {t!r}")
@@ -231,6 +241,48 @@ def _frontier_search(
         path.append(int(parent[path[-1]]))
     path.reverse()
     return (float(dist[ti]), path, settled)
+
+
+# rows(u) gives node u's out-arcs as (heads, costs) pairs of Python sequences
+_RowLists = Callable[[int], Iterable[Tuple[Sequence[int], Sequence[float]]]]
+
+
+def _list_search(n: int, si: int, ti: int, rows: _RowLists) -> Tuple[float, List[int], int]:
+    """_frontier_search over Python lists, popping a heap of (cost, node id).
+
+    Node u settled at d offers each head v of its rows the candidate d + c
+    for the arc cost c, written only where it improves v strictly. So a
+    node enters the heap once per distance it is given, and an entry above
+    its node's distance is stale: the node was settled at a lower one, so
+    the entry is skipped. The heap pops the (cost, node id) order in which
+    the frontier's first minimum settles nodes, and both searches return
+    the same (cost, path, settled).
+    """
+    dist = [math.inf] * n
+    parent = [-1] * n
+    dist[si] = 0.0
+    heap = [(0.0, si)]
+    push, pop = heapq.heappush, heapq.heappop
+    settled = 0
+    while heap:
+        d, u = pop(heap)
+        if d > dist[u]:
+            continue
+        settled += 1
+        if u == ti:
+            path = [ti]
+            while path[-1] != si:
+                path.append(parent[path[-1]])
+            path.reverse()
+            return (d, path, settled)
+        for heads, costs in rows(u):
+            for v, c in zip(heads, costs):
+                c += d
+                if c < dist[v]:
+                    dist[v] = c
+                    parent[v] = u
+                    push(heap, (c, v))
+    return (math.inf, [], settled)
 
 
 def shortest_vertex_path(

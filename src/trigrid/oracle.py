@@ -23,17 +23,24 @@ vertex their edges share (or on one edge), lie 2**(1-L) * sqrt(n) apart
 for the integer n = k*k - k*j + j*j (or (k - j)**2). The table holds those
 correctly rounded values, the same for every cell and every window.
 
-The search is the frontier-array Dijkstra all three path families share
-(grid_paths._frontier_search). It settles nodes in (cost, node id) order,
-the order a binary heap of (cost, id) pairs pops, so node order decides a
-tie only between bit-equal costs. With exact distances a hop along an edge
-and its split at a node in between cost the same before rounding, so the
-reported path drops every node whose path neighbours lie on the same
-lattice edge as it: the merged hop is an arc of the same clique at the
-same min-rule weight, and the reported cost stays the search's sum. A
-corner hop and the same segment split at a collinear corner can still
-round apart; which of the two is reported then depends on rounding, not on
-node order.
+Every level keeps the search contract all three path families share
+(grid_paths): nodes settle in (cost, node id) order, so node order decides
+a tie only between bit-equal costs, and either frontier returns the same
+cost, path and settles. Level 0's rows are hop rows to every corner, and
+past level 1 a settle weighs tens to hundreds of clique heads, so those
+levels take the dense frontier (grid_paths._frontier_search). A level-1
+settle weighs 18 heads on average over sweep's solves (8 at an edge's
+node, 40 at a corner, hop row included), so level 1 takes the list search
+(grid_paths._list_search) on windows of up to _LIST_SEARCH_MAX_CORNERS
+corners, the measured crossover, and the dense frontier on wider ones.
+
+With exact distances a hop along an edge and its split at a node in
+between cost the same before rounding, so the reported path drops every
+node whose path neighbours lie on the same lattice edge as it: the merged
+hop is an arc of the same clique at the same min-rule weight, and the
+reported cost stays the search's sum. A corner hop and the same segment
+split at a collinear corner can still round apart; which of the two is
+reported then depends on rounding, not on node order.
 """
 
 import functools
@@ -51,6 +58,7 @@ from .grid_paths import (
     _frontier_search,
     _hop_search,
     _lattice,
+    _list_search,
 )
 from .metric import HOP_TABLE_CACHE_SIZE, WeightMap, corner_hop_table
 from .tessellation import SQRT3, Corner, Point, Tessellation, corner_position
@@ -65,6 +73,12 @@ MAX_STEINER_NODES = 2_000_000
 # Deepest level built. A level's distance table grows as 4**level: it takes
 # 25 MB at level 10 and 101 MB at level 11.
 MAX_LEVEL = 10
+# Most corners of a window whose level 1 is searched over Python lists
+# (grid_paths._list_search); wider windows, and every level past 1, take
+# the dense frontier. A warm level-1 solve ran 0.78x the dense one's time
+# at 28 corners (6x6), 0.95x at 66 (10x10), 0.99x at 78 (11x11) and 1.04x
+# at 91 (12x12).
+_LIST_SEARCH_MAX_CORNERS = 80
 
 
 # the row kinds of a cell's vertex rows, then of its slot rows
@@ -180,8 +194,7 @@ class _Window:
     the shape's lattice (grid_paths._Lattice): edges and edge_cells are the
     lattice's arrays, and rows stacks every cell's rows, in row-major order,
     with weight indices. Solves of the shape share these arrays and
-    level_one, the level-1 layout of every cell, and read them only through
-    gathers, which copy."""
+    level_one, the level-1 layout of every cell, so all are read-only."""
 
     def __init__(self, tess: Tessellation):
         lattice = _lattice(tess)
@@ -195,10 +208,23 @@ class _Window:
         columns = (np.where(up, 0, 6).reshape(1, -1, 1) + _ROW_KINDS).ravel()
         w = np.concatenate((n_cells + ids, np.arange(n_cells)[:, None]), axis=1)
         self.rows = _Rows(verts, ids, group, columns, w[np.arange(6 * n_cells) // 3 % n_cells])
+        for arr in (self.corner_xy, self.corner_heads, *self.rows):
+            arr.setflags(write=False)
 
     @functools.cached_property
     def level_one(self) -> tuple:
-        return _steiner_layout(self, 1, self.rows)
+        """Level 1's layout of every cell (_steiner_layout) as x, y, heads,
+        each head's distance from its group's node, its weight index and
+        the group bounds. At level 1 node g relaxes through group g, a
+        corner's from table row 0 and an edge's middle node from row 1."""
+        x, y, heads, idx, w, bounds, _, _ = _steiner_layout(self, 1, self.rows)
+        table = _clique_table(1)[0]
+        split = bounds[len(self.corner_heads)]
+        dist = np.concatenate((table[0].take(idx[:split]), table[1].take(idx[split:])))
+        layout = (x, y, heads, dist, w, bounds)
+        for arr in layout:
+            arr.setflags(write=False)
+        return layout
 
 
 # Kept for as many window shapes as hop tables are, least recently used first
@@ -233,7 +259,7 @@ def _steiner_layout(window: _Window, level: int, cells: _Rows) -> tuple:
     # vertices, then per_edge nodes per slot), offset by its group, so
     # that sorting them groups the rows' heads
     edge_node_ids = n_corners + slot_edges[:, :, None] * per_edge + np.arange(per_edge)
-    cell_ids = np.concatenate((verts, edge_node_ids.reshape(n_cells, -1)), axis=1)
+    cell_ids = np.concatenate((verts, edge_node_ids.reshape(n_cells, 3 * per_edge)), axis=1)
     del edge_node_ids
     keys = cell_ids[row_cell]
     del cell_ids
@@ -287,7 +313,7 @@ def _steiner_layout(window: _Window, level: int, cells: _Rows) -> tuple:
 
 class _SteinerGraph:
     """The level's Steiner graph: a layout (_steiner_layout) priced by one
-    solve's weights.
+    solve's weights, and the search that settles it (search names it).
 
     Nodes span every edge of the window, so node order, and with it the
     (cost, node id) order of ties, is set by the shape alone. A node
@@ -295,40 +321,79 @@ class _SteinerGraph:
     cell weight, or the min-rule edge weight for targets on an edge that
     also holds the node. Those rows are merged per node (per corner, or per
     edge for the nodes on it), each head kept once with its weight and its
-    column in the level's distance table, so one settle prices all of a
-    node's cliques with one gather from one table row.
+    column in the level's distance table. A node whose edge borders only
+    blocked cells has no arcs.
 
-    Level 1 prices the shape's layout of every cell (_Window.level_one)
-    and drops each head priced through a blocked cell, at infinite weight,
-    so no settle computes 0 * inf. Deeper levels, whose layouts run to
-    megabytes, lay out the finite cells alone, from rows priced once per
-    solve. A node whose edge borders only blocked cells has no arcs. Each
-    group's heads, columns and weights are views, and each node's group and
-    table row are looked up, so a settle slices nothing. Heads and columns
-    are intp, so no gather casts them.
+    At level 1 node g alone relaxes through group g, so one gather and one
+    multiply price every arc of the shape's layout (_Window.level_one) for
+    the solve, after the heads priced through a blocked cell, at infinite
+    weight, are dropped, so no 0 * inf is computed. A window of at most
+    _LIST_SEARCH_MAX_CORNERS corners is then searched over Python lists
+    (grid_paths._list_search), a wider one by the dense frontier
+    (grid_paths._frontier_search); either way a settle slices its group
+    from the priced arcs. Deeper levels, whose layouts run to megabytes,
+    lay out the finite cells alone, from rows priced once per solve, for
+    the dense frontier: a settle prices all of a node's cliques with one
+    gather from its table row, through its group's views of heads,
+    columns and weights. Heads and columns are intp, so no gather casts
+    them.
     """
 
     def __init__(self, ctx: "_SolveContext", level: int):
         window = ctx.window
-        layout = window.level_one if level == 1 else _steiner_layout(window, level, ctx.finite_rows)
         self.n_corners, self.per_edge = len(window.corner_heads), 2 ** level - 1
         self.edges, self.corner_heads = window.edges, window.corner_heads
         self.hop_matrix = ctx.hop_matrix
-        self.x, self.y, heads, idx, w, bounds, self.node_group, self.node_row = layout
-        if level == 1:
-            w = ctx.w.take(w)
-            kept = np.isfinite(w)
-            if not kept.all():
-                # a group's bound moves down by the heads dropped before it
-                kept = kept.nonzero()[0]
-                bounds = kept.searchsorted(bounds)
-                heads, idx, w = heads.take(kept), idx.take(kept), w.take(kept)
-        bounds = bounds.tolist()
-        self.groups = [(heads[lo:hi], idx[lo:hi], w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        self.search = "dense"
+        if level > 1:
+            layout = _steiner_layout(window, level, ctx.finite_rows)
+            self.x, self.y, heads, idx, w, bounds, self.node_group, self.node_row = layout
+            bounds = bounds.tolist()
+            self.groups = [(heads[lo:hi], idx[lo:hi], w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            return
+        self.x, self.y, heads, dist, w, bounds = window.level_one
+        w = ctx.w.take(w)
+        kept = np.isfinite(w)
+        if not kept.all():
+            # a group's bound moves down by the heads dropped before it
+            kept = kept.nonzero()[0]
+            bounds = kept.searchsorted(bounds)
+            heads, dist, w = heads.take(kept), dist.take(kept), w.take(kept)
+        w *= dist
+        self.heads, self.costs, self.bounds = heads, w, bounds.tolist()
+        if self.n_corners <= _LIST_SEARCH_MAX_CORNERS:
+            self.search, self.corners = "list", range(self.n_corners)
+            self.heads, self.costs = heads.tolist(), w.tolist()
+
+    def shortest(self, si: int, ti: int) -> Tuple[float, List[int], int]:
+        """The search's cost, node path with its edge runs merged, and settles."""
+        if self.search == "list":
+            cost, path, settled = _list_search(len(self.x), si, ti, self._rows)
+        else:
+            arcs = self._arcs if self.per_edge > 1 else self._level_one_arcs
+            cost, path, settled = _frontier_search(len(self.x), si, ti, arcs)
+        return cost, self._merge_edge_runs(path), settled
+
+    def _rows(self, u: int) -> tuple:
+        """The list search's arcs of u at level 1: a corner's hop row, then
+        u's group of clique heads."""
+        lo, hi = self.bounds[u], self.bounds[u + 1]
+        clique = (self.heads[lo:hi], self.costs[lo:hi])
+        if u < self.n_corners:
+            return ((self.corners, self.hop_matrix[u].tolist()), clique)
+        return (clique,)
+
+    def _level_one_arcs(self, u: int, d: float) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """_rows for the dense search: the candidates of u settled at d."""
+        lo, hi = self.bounds[u], self.bounds[u + 1]
+        clique = (self.heads[lo:hi], self.costs[lo:hi] + d)
+        if u < self.n_corners:
+            return ((self.corner_heads, d + self.hop_matrix[u]), clique)
+        return (clique,)
 
     def _arcs(self, u: int, d: float) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-        """The candidates of u settled at d: a corner's hop row, then u's group
-        of clique heads, priced in place from its table row."""
+        """The candidates of u settled at d past level 1: a corner's hop row,
+        then u's group of clique heads, priced in place from its table row."""
         heads, idx, w = self.groups[self.node_group[u]]
         clique = self.node_row[u].take(idx)
         clique *= w
@@ -409,19 +474,21 @@ class _SolveContext:
         return _Rows(verts[cells], slot_edges[cells], group[rows], columns[rows], self.w[w[rows]])
 
     def solve(self, level: int) -> OracleResult:
-        """The level's path, logging its nodes, settles and cost at DEBUG."""
+        """The level's path, logging its search, nodes, settles and cost at DEBUG."""
         if self.s == self.t:
             return OracleResult((corner_position(self.s),), 0.0, level, True)
         if level == 0:
-            x, y = self.window.corner_xy
+            (x, y), search = self.window.corner_xy, "dense"
             cost, path, settled = _hop_search(self.hop_matrix, self.si, self.ti)
         else:
             graph = _SteinerGraph(self, level)
-            x, y = graph.x, graph.y
-            cost, path, settled = _frontier_search(len(x), self.si, self.ti, graph._arcs)
-            path = graph._merge_edge_runs(path)
+            x, y, search = graph.x, graph.y, graph.search
+            cost, path, settled = graph.shortest(self.si, self.ti)
         if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("level %d: %d nodes, %d settled, cost %r", level, len(x), settled, cost)
+            logger.debug(
+                "level %d: %s search, %d nodes, %d settled, cost %r",
+                level, search, len(x), settled, cost,
+            )
         if math.isinf(cost):
             raise UnreachableError(f"no finite-cost path from {self.s!r} to {self.t!r}")
         # Python floats, so that every layer reading the path does float arithmetic

@@ -12,6 +12,7 @@ from trigrid.grid_paths import (
     UnreachableError,
     _frontier_search,
     _grid_arcs,
+    _list_search,
     shortest_grid_path,
     shortest_vertex_path,
 )
@@ -247,8 +248,10 @@ def test_frontier_search_matches_a_heap_dijkstra_on_random_block_graphs():
         def arcs(u, d):
             return [(heads, d + costs) for heads, costs in blocks[u]]
 
+        rows = [[(heads.tolist(), costs.tolist()) for heads, costs in mine] for mine in blocks]
         *want, ties = heap_search(n, si, ti, blocks)
         assert _frontier_search(n, si, ti, arcs) == tuple(want)
+        assert _list_search(n, si, ti, rows.__getitem__) == tuple(want)
         unreachable += math.isinf(want[0])
         tied += ties > 0
     assert unreachable >= 10 and tied >= 50

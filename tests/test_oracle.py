@@ -150,6 +150,17 @@ def test_trivial_unreachable_and_validation():
                 ratio_report(*args, rel_tol=rel_tol)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 4)])
+def test_a_fully_blocked_window_is_unreachable_at_every_level(shape):
+    # past level 1 the finite cells alone are laid out, and here there are none
+    tess = Tessellation(*shape)
+    w = WeightMap(np.full(shape, INF))
+    s, t = endpoints(tess)
+    for level in range(4):
+        with pytest.raises(UnreachableError):
+            approx_shortest_path(tess, w, s, t, level=level)
+
+
 def test_max_level_zero_returns_vertex_path_cost():
     tess, w = random_instance(99, inf_prob=0.0)
     s, t = endpoints(tess)
@@ -500,52 +511,97 @@ def test_search_matches_reference_dijkstra_exactly(case, level):
     assert got.path == want_path
 
 
-def sliced_arcs(graph, level, u, d):
-    """Node u's arcs by the flat layout's formula: its group's run of the
-    groups laid end to end, found by divmod, priced from table row
-    step + 1 (row 0 for a corner), after the corner's hop row."""
-    heads, idx, w = (np.concatenate(part) for part in zip(*graph.groups))
-    bounds = np.cumsum([0] + [len(group[0]) for group in graph.groups])
+def graph_arcs(graph, u, d):
+    """Node u's candidates at d as (heads, candidates) arrays, whichever
+    search the graph is built for."""
+    if graph.search == "list":
+        return [(np.array(heads), d + np.array(costs)) for heads, costs in graph._rows(u)]
+    if graph.per_edge == 1:
+        return graph._level_one_arcs(u, d)
+    return graph._arcs(u, d)
+
+
+def level_one_graphs(ctx, monkeypatch):
+    """The level-1 graph of ctx as the list search takes it, then as the
+    dense frontier does, forced by a corner bound of 0."""
+    listed = oracle._SteinerGraph(ctx, 1)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_LIST_SEARCH_MAX_CORNERS", 0)
+        dense = oracle._SteinerGraph(ctx, 1)
+    assert (listed.search, dense.search) == ("list", "dense")
+    return listed, dense
+
+
+def sliced_arcs(ctx, level):
+    """Every node's arcs at d by the flat layout of the finite cells: its
+    group's run of the groups laid end to end, found by divmod, priced from
+    table row step + 1 (row 0 for a corner), after the corner's hop row."""
+    _, _, heads, idx, w, bounds, _, _ = oracle._steiner_layout(ctx.window, level, ctx.finite_rows)
     table = oracle._clique_table(level)[0]
-    n_corners, per_edge = graph.n_corners, 2**level - 1
-    out = []
-    if u < n_corners:
-        out.append((np.arange(n_corners), d + graph.hop_matrix[u]))
-        group, row = u, 0
-    else:
-        edge, step = divmod(u - n_corners, per_edge)
-        group, row = n_corners + edge, step + 1
-    lo, hi = bounds[group], bounds[group + 1]
-    out.append((heads[lo:hi], d + w[lo:hi] * table[row][idx[lo:hi]]))
-    return out
+    n_corners, per_edge = len(ctx.window.corner_heads), 2**level - 1
+
+    def arcs(u, d):
+        out = []
+        if u < n_corners:
+            out.append((np.arange(n_corners), d + ctx.hop_matrix[u]))
+            group, row = u, 0
+        else:
+            edge, step = divmod(u - n_corners, per_edge)
+            group, row = n_corners + edge, step + 1
+        lo, hi = bounds[group], bounds[group + 1]
+        out.append((heads[lo:hi], d + w[lo:hi] * table[row][idx[lo:hi]]))
+        return out
+
+    return arcs, len(bounds) - 1
 
 
-def arc_pairs(blocks):
-    return sorted((int(v), float(c)) for heads, cands in blocks for v, c in zip(heads, cands))
+def arc_pairs(blocks, u):
+    """Node u's (head, candidate) pairs, but those to u itself: a search
+    never writes them, and where a corner is its own head through cells of
+    which one is blocked, the layout of every cell can keep the blocked
+    cell's copy, dropped at infinite weight, and the finite cells' layout
+    the finite one's."""
+    return sorted(
+        (int(v), float(c)) for heads, cands in blocks for v, c in zip(heads, cands) if v != u
+    )
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 @pytest.mark.parametrize("case", ["random-3x4-s10", "maze-5x5", "strip-3", "unreachable"])
-def test_steiner_arcs_match_the_sliced_layout(case, level):
+def test_steiner_arcs_match_the_sliced_layout(case, level, monkeypatch):
     tess, w, s, t = REFERENCE_CASES[case]()
-    graph = oracle._SteinerGraph(oracle._SolveContext(tess, w, s, t, level), level)
-    n_corners, n_nodes = graph.n_corners, len(graph.x)
-    assert n_nodes > n_corners and len(graph.groups) == n_corners + len(graph.edges)
-    for u in range(n_nodes):
-        for d in (0.0, 0.1):
-            got = graph._arcs(u, d)
-            assert arc_pairs(got) == arc_pairs(sliced_arcs(graph, level, u, d))
-            assert len(got) == 1 + (u < n_corners)
+    ctx = oracle._SolveContext(tess, w, s, t, level)
+    if level == 1:
+        graphs = level_one_graphs(ctx, monkeypatch)
+    else:
+        graphs = (oracle._SteinerGraph(ctx, level),)
+    want, n_groups = sliced_arcs(ctx, level)
+    for graph in graphs:
+        n_corners, n_nodes = graph.n_corners, len(graph.x)
+        assert n_nodes > n_corners and n_groups == n_corners + len(graph.edges)
+        for u in range(n_nodes):
+            for d in (0.0, 0.1):
+                got = graph_arcs(graph, u, d)
+                assert arc_pairs(got, u) == arc_pairs(want(u, d), u)
+                assert len(got) == 1 + (u < n_corners)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-def test_steiner_groups_hold_intp_heads_and_columns(case, level):
+def test_steiner_groups_hold_intp_heads_and_columns(case, level, monkeypatch):
     # a settle gathers its table row through the columns and the kernel
     # indexes its distances by the heads: an int32 array would be cast to
-    # intp on every settle, which made a level-7 settle about 6% slower
+    # intp on every settle, which made a level-7 settle about 6% slower.
+    # The list search's arcs are Python ints and floats, not numpy scalars.
     tess, w, s, t = REFERENCE_CASES[case]()
-    graph = oracle._SteinerGraph(oracle._SolveContext(tess, w, s, t, level), level)
+    ctx = oracle._SolveContext(tess, w, s, t, level)
+    if level == 1:
+        listed, dense = level_one_graphs(ctx, monkeypatch)
+        assert listed.heads and all(type(v) is int for v in listed.heads)
+        assert all(type(c) is float for c in listed.costs)
+        assert dense.heads.dtype == np.intp and dense.costs.dtype == np.float64
+        return
+    graph = oracle._SteinerGraph(ctx, level)
     assert graph.groups
     for heads, idx, _ in graph.groups:
         assert heads.dtype == np.intp and idx.dtype == np.intp
@@ -575,14 +631,16 @@ def test_window_layout_prices_the_finite_cells_arcs(rows, cols, blocked, seed, l
     tess, w = random_instance(seed, rows, cols, inf_prob=blocked)
     s, t = endpoints(tess)
     graph = oracle._SteinerGraph(oracle._SolveContext(tess, w, s, t, level), level)
-    for _, _, weights in graph.groups:
+    if level == 1:
+        assert graph.search == "list" and all(math.isfinite(c) for c in graph.costs)
+    for _, _, weights in getattr(graph, "groups", ()):
         assert np.isfinite(weights).all()
     x, y, arcs = reference_graph(tess, w, level)
     at = {pos: k for k, pos in enumerate(zip(x.tolist(), y.tolist()))}
     node = [at[pos] for pos in zip(graph.x.tolist(), graph.y.tolist())]
     assert sorted(node) == list(range(len(x)))
     for u, ref in enumerate(node):
-        got = least_arcs(graph._arcs(u, 0.0), u)
+        got = least_arcs(graph_arcs(graph, u, 0.0), u)
         assert {node[v]: c for v, c in got.items()} == arcs[ref]
     want_cost, want_path = reference_search(tess, w, s, t, level)
     if math.isinf(want_cost):
@@ -591,6 +649,97 @@ def test_window_layout_prices_the_finite_cells_arcs(rows, cols, blocked, seed, l
     else:
         got = approx_shortest_path(tess, w, s, t, level=level)
         assert (got.cost, got.path) == (want_cost, want_path)
+
+
+def level_one_reports(tess, w, s, t):
+    """repr of level-1 SP and of ratio_report(max_level=2) and the searches
+    that settled each level, from the module logger's DEBUG lines."""
+    records = []
+
+    class Searches(logging.Handler):
+        def emit(self, record):
+            if " search, " in record.getMessage():
+                records.append(record.getMessage().split(",")[0])
+
+    handler = Searches(logging.DEBUG)
+    logger = logging.getLogger("trigrid.oracle")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        out = []
+        for solve in (
+            lambda: approx_shortest_path(tess, w, s, t, level=1),
+            lambda: ratio_report(tess, w, s, t, max_level=2),
+        ):
+            try:
+                out.append(repr(solve()))
+            except UnreachableError as exc:
+                out.append(repr(exc))
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return out, records
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**31 - 1),
+)
+def test_list_and_dense_level_one_searches_report_alike(rows, cols, blocked, seed):
+    # every window here has at most 55 corners, under the bound; a bound of
+    # 0 sends level 1 to the dense frontier, and nothing reported changes
+    tess, w = random_instance(seed, rows, cols, inf_prob=blocked)
+    s, t = endpoints(tess)
+    listed, searches = level_one_reports(tess, w, s, t)
+    assert searches[0] == "level 1: list search"
+    original = oracle._LIST_SEARCH_MAX_CORNERS
+    oracle._LIST_SEARCH_MAX_CORNERS = 0
+    try:
+        dense, searches = level_one_reports(tess, w, s, t)
+    finally:
+        oracle._LIST_SEARCH_MAX_CORNERS = original
+    assert searches[0] == "level 1: dense search"
+    assert set(searches) <= {"level 0: dense search", "level 1: dense search", "level 2: dense search"}
+    assert listed == dense
+
+
+def test_level_one_takes_the_dense_frontier_over_the_corner_bound(monkeypatch):
+    calls = []
+    for name in ("_list_search", "_frontier_search"):
+        search = getattr(oracle, name)
+        monkeypatch.setattr(
+            oracle, name, lambda *args, _name=name, _search=search: calls.append(_name) or _search(*args)
+        )
+    inst = gen_random(12, 12, seed=3)  # 91 corners
+    tess, w = inst.tessellation, inst.weights
+    assert len(tess.corners) > oracle._LIST_SEARCH_MAX_CORNERS
+    wide = approx_shortest_path(tess, w, inst.source, inst.target, level=1)
+    assert calls == ["_frontier_search"]
+    calls.clear()
+    monkeypatch.setattr(oracle, "_LIST_SEARCH_MAX_CORNERS", len(tess.corners))
+    assert approx_shortest_path(tess, w, inst.source, inst.target, level=1) == wide
+    assert calls == ["_list_search"]
+    calls.clear()
+    approx_shortest_path(tess, w, inst.source, inst.target, level=2)
+    assert calls == ["_frontier_search"]
+
+
+def test_solves_leave_the_shared_level_one_layout_unchanged():
+    inst = gen_random(6, 6, seed=8)  # three blocked cells
+    tess, w = inst.tessellation, inst.weights
+    window = _window_support(tess)
+    layout = window.level_one
+    shared = (*layout, window.corner_xy, window.corner_heads, *window.rows)
+    before = [arr.tobytes() for arr in shared]
+    assert not any(arr.flags.writeable for arr in shared)
+    approx_shortest_path(tess, w, inst.source, inst.target, level=1)
+    ratio_report(tess, w, inst.source, inst.target)
+    assert window.level_one is layout
+    assert [arr.tobytes() for arr in shared] == before
 
 
 def test_a_warm_shape_lays_out_no_level_one_graph(monkeypatch):
@@ -689,6 +838,10 @@ def test_refine_until_logs_each_level_and_why_it_stopped(caplog):
     for level, line in ((0, msgs[0]), (1, msgs[1])):
         assert line.startswith(f"level {level}: ")
         assert " nodes, " in line and " settled, cost " in line
+    # the corner graph is a dense hop matrix; level 1 of this 4x3 window is
+    # searched over lists
+    assert msgs[0].startswith("level 0: dense search, 13 nodes, ")
+    assert msgs[1].startswith("level 1: list search, 37 nodes, ")
     assert msgs[1].endswith(f"cost {4 * SQRT3!r}")
     assert msgs[2] == "level 1: relative improvement 0"
     assert msgs[3] == "stopped at level 1: tolerance 1e-06 met"
@@ -702,6 +855,11 @@ def test_refine_until_logs_each_level_and_why_it_stopped(caplog):
         "stopped at level 2"
     ]
     assert msgs[-1] == "stopped at level 2: max_level reached"
+    assert [m.split(",")[0] for m in msgs if " search, " in m] == [
+        "level 0: dense search",
+        "level 1: list search",
+        "level 2: dense search",
+    ]
 
 
 def test_refine_until_skips_logging_when_debug_is_off(caplog, monkeypatch):
