@@ -6,8 +6,9 @@ the weighted region metric (metric), solvers for the three path families
 grid-versus-unrestricted cost ratio bound of 2/sqrt(3) (analysis). The
 grid-path and vertex-path solvers are exact, the Steiner-refinement oracle
 approximates unrestricted paths, and all three share one search contract,
-run over Python lists or a dense frontier array (grid_paths). Instance files, generators, and SVG export
-live in instances; a command line ties it together in cli.
+run over Python lists or a dense frontier array (grid_paths). Instance
+files, generators, and SVG export live in instances; a command line ties
+it together in cli.
 
 The package exports the names the README and the command line use; every
 other name is imported from its module.

@@ -253,10 +253,10 @@ def _list_search(n: int, si: int, ti: int, rows: _RowLists) -> Tuple[float, List
     Node u settled at d offers each head v of its rows the candidate d + c
     for the arc cost c, written only where it improves v strictly. So a
     node enters the heap once per distance it is given, and an entry above
-    its node's distance is stale: the node was settled at a lower one, so
-    the entry is skipped. The heap pops the (cost, node id) order in which
-    the frontier's first minimum settles nodes, and both searches return
-    the same (cost, path, settled).
+    its node's distance is stale: the lower entry pops first and settles
+    the node, and the stale one is skipped. The heap pops the (cost, node
+    id) order in which the frontier's first minimum settles nodes, so both
+    searches return the same (cost, path, settled).
     """
     dist = [math.inf] * n
     parent = [-1] * n

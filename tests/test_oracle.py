@@ -709,11 +709,18 @@ def test_list_and_dense_level_one_searches_report_alike(rows, cols, blocked, see
 
 def test_level_one_takes_the_dense_frontier_over_the_corner_bound(monkeypatch):
     calls = []
-    for name in ("_list_search", "_frontier_search"):
+
+    def counted(name):
         search = getattr(oracle, name)
-        monkeypatch.setattr(
-            oracle, name, lambda *args, _name=name, _search=search: calls.append(_name) or _search(*args)
-        )
+
+        def run(*args):
+            calls.append(name)
+            return search(*args)
+
+        return run
+
+    for name in ("_list_search", "_frontier_search"):
+        monkeypatch.setattr(oracle, name, counted(name))
     inst = gen_random(12, 12, seed=3)  # 91 corners
     tess, w = inst.tessellation, inst.weights
     assert len(tess.corners) > oracle._LIST_SEARCH_MAX_CORNERS
