@@ -20,15 +20,15 @@ keep it, and a solver picks the one that suits the length of its rows.
 _list_search keeps distances in Python lists and pops a heap of (cost,
 node id) pairs: it settles the grid-path solver, whose corners relax
 through their six edges of the shape's _Lattice, the edges that carry
-the Steiner nodes, and the Steiner oracle's level 1 on windows of at
-most 80 corners. On rows that short a numpy call costs more than the
-arithmetic: SGP ran 2.0-2.4x faster over lists than on the dense
-frontier from 4x5 to 16x16. _frontier_search keeps unsettled tentative
-distances in a dense array and settles its first minimum, with no heap:
-it settles the vertex-path solver, whose corners relax through their row
-of hop costs to every corner, and the oracle's level 0, its level 1 on
-wider windows and its deeper levels, whose cliques run to hundreds of
-heads. There a settle asks its callback for candidate distances, the
+the Steiner nodes, and the Steiner oracle's level 1. On rows that short
+a numpy call costs more than the arithmetic: SGP ran 2.0-2.4x faster over
+lists than on the dense frontier from 4x5 to 16x16, and a level-1 solve
+0.78x the dense time at 28 corners (6x6), 1.00x at 91 (12x12) and 1.13x
+at 153 (16x16). _frontier_search keeps unsettled tentative distances in
+a dense array and settles its first minimum, with no heap: it settles
+the vertex-path solver, whose corners relax through their row of hop
+costs to every corner, and the oracle's level 0 and deeper levels, whose
+cliques run to hundreds of heads. There a settle asks its callback for candidate distances, the
 settled distance already added, so the oracle can add it in place to
 the clique costs it has just priced, and keeps the strictly improved
 ones with boolean masks: gathering their positions with nonzero and take

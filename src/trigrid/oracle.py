@@ -31,8 +31,9 @@ past level 1 a settle weighs tens to hundreds of clique heads, so those
 levels take the dense frontier (grid_paths._frontier_search). A level-1
 settle weighs 18 heads on average over sweep's solves (8 at an edge's
 node, 40 at a corner, hop row included), so level 1 takes the list search
-(grid_paths._list_search) on windows of up to _LIST_SEARCH_MAX_CORNERS
-corners, the measured crossover, and the dense frontier on wider ones.
+(grid_paths._list_search) on every window. A warm level-1 solve over
+lists took 0.78x the dense frontier's time at 28 corners (6x6), 1.00x at
+91 (12x12), 1.13x at 153 (16x16) and 1.26x at 325 (24x24).
 
 With exact distances a hop along an edge and its split at a node in
 between cost the same before rounding, so the reported path drops every
@@ -73,12 +74,6 @@ MAX_STEINER_NODES = 2_000_000
 # Deepest level built. A level's distance table grows as 4**level: it takes
 # 25 MB at level 10 and 101 MB at level 11.
 MAX_LEVEL = 10
-# Most corners of a window whose level 1 is searched over Python lists
-# (grid_paths._list_search); wider windows, and every level past 1, take
-# the dense frontier. A warm level-1 solve ran 0.78x the dense one's time
-# at 28 corners (6x6), 0.95x at 66 (10x10), 0.99x at 78 (11x11) and 1.04x
-# at 91 (12x12).
-_LIST_SEARCH_MAX_CORNERS = 80
 
 
 # the row kinds of a cell's vertex rows, then of its slot rows
@@ -217,7 +212,7 @@ class _Window:
         each head's distance from its group's node, its weight index and
         the group bounds. At level 1 node g relaxes through group g, a
         corner's from table row 0 and an edge's middle node from row 1."""
-        x, y, heads, idx, w, bounds, _, _ = _steiner_layout(self, 1, self.rows)
+        x, y, heads, idx, w, bounds = _steiner_layout(self, 1, self.rows)
         table = _clique_table(1)[0]
         split = bounds[len(self.corner_heads)]
         dist = np.concatenate((table[0].take(idx[:split]), table[1].take(idx[split:])))
@@ -236,10 +231,9 @@ def _window_support(tess: Tessellation) -> _Window:
 
 def _steiner_layout(window: _Window, level: int, cells: _Rows) -> tuple:
     """The level's graph over the window's cells that cells holds, before
-    pricing: node positions x and y; each group's heads, their columns in
-    the level's distance table and what cells.w gives them, laid end to
-    end, group g at bounds[g]:bounds[g + 1]; and each node's group and
-    table row. Nodes are the corners, then 2**level - 1 along each edge of
+    pricing: node positions x and y; and each group's heads, their columns
+    in the level's distance table and what cells.w gives them, laid end to
+    end, group g at bounds[g]:bounds[g + 1]. Nodes are the corners, then 2**level - 1 along each edge of
     the window, from its first end, whichever cells are laid out; every
     cell's members are its 3 vertices, then its slots' nodes.
     """
@@ -288,7 +282,7 @@ def _steiner_layout(window: _Window, level: int, cells: _Rows) -> tuple:
     members = first  # reused in place: first is not read again
     del first
     members -= rows * n_members
-    table, columns = _clique_table(level)
+    columns = _clique_table(level)[1]
     members += (row_columns * n_members).take(rows)  # a flat index into columns
     head_idx = columns.take(members)
     slot = _weight_slots(level).take(members)
@@ -297,23 +291,13 @@ def _steiner_layout(window: _Window, level: int, cells: _Rows) -> tuple:
     rows += slot
     head_w = row_w.take(rows)
     del rows, slot
-    # node u relaxes through group node_group[u], priced from table row
-    # node_row[u]: a corner through its own group and row 0, node m of an
-    # edge through the edge's group and row m + 1. The nodes of an edge
-    # share one int object for their group (a list repeats it in a third of
-    # np.repeat's time at level 7). Deriving both from u with divmod
-    # instead measured about 1% slower per settle at level 7.
-    node_group = list(range(n_corners))
-    for group in range(n_corners, n_corners + n_edges):
-        node_group += [group] * per_edge
-    table_rows = list(table)
-    node_row = table_rows[:1] * n_corners + table_rows[1:-1] * n_edges
-    return x, y, heads, head_idx, head_w, bounds, node_group, node_row
+    return x, y, heads, head_idx, head_w, bounds
 
 
 class _SteinerGraph:
     """The level's Steiner graph: a layout (_steiner_layout) priced by one
-    solve's weights, and the search that settles it (search names it).
+    solve's weights, and the search that settles it (search names it):
+    the list search at level 1, the dense frontier past it.
 
     Nodes span every edge of the window, so node order, and with it the
     (cost, node id) order of ties, is set by the shape alone. A node
@@ -327,16 +311,13 @@ class _SteinerGraph:
     At level 1 node g alone relaxes through group g, so one gather and one
     multiply price every arc of the shape's layout (_Window.level_one) for
     the solve, after the heads priced through a blocked cell, at infinite
-    weight, are dropped, so no 0 * inf is computed. A window of at most
-    _LIST_SEARCH_MAX_CORNERS corners is then searched over Python lists
-    (grid_paths._list_search), a wider one by the dense frontier
-    (grid_paths._frontier_search); either way a settle slices its group
-    from the priced arcs. Deeper levels, whose layouts run to megabytes,
-    lay out the finite cells alone, from rows priced once per solve, for
-    the dense frontier: a settle prices all of a node's cliques with one
-    gather from its table row, through its group's views of heads,
-    columns and weights. Heads and columns are intp, so no gather casts
-    them.
+    weight, are dropped, so no 0 * inf is computed. The priced arcs are
+    kept as Python lists, from which a settle slices its group. Deeper
+    levels, whose layouts run to megabytes, lay out the finite cells
+    alone, from rows priced once per solve, for the dense frontier: a
+    settle prices all of a node's cliques with one gather from its table
+    row, through its group's views of heads, columns and weights. Heads
+    and columns are intp, so no gather casts them.
     """
 
     def __init__(self, ctx: "_SolveContext", level: int):
@@ -344,12 +325,24 @@ class _SteinerGraph:
         self.n_corners, self.per_edge = len(window.corner_heads), 2 ** level - 1
         self.edges, self.corner_heads = window.edges, window.corner_heads
         self.hop_matrix = ctx.hop_matrix
-        self.search = "dense"
         if level > 1:
-            layout = _steiner_layout(window, level, ctx.finite_rows)
-            self.x, self.y, heads, idx, w, bounds, self.node_group, self.node_row = layout
+            self.search = "dense"
+            self.x, self.y, heads, idx, w, bounds = _steiner_layout(window, level, ctx.finite_rows)
             bounds = bounds.tolist()
             self.groups = [(heads[lo:hi], idx[lo:hi], w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            # node u relaxes through group node_group[u], priced from table
+            # row node_row[u]: a corner through its own group and row 0, node
+            # m of an edge through the edge's group and row m + 1. The nodes
+            # of an edge share one int object for their group (a list repeats
+            # it in a third of np.repeat's time at level 7). Deriving both
+            # from u with divmod instead measured about 1% slower per settle
+            # at level 7.
+            n_edges = len(self.edges)
+            self.node_group = list(range(self.n_corners))
+            for group in range(self.n_corners, self.n_corners + n_edges):
+                self.node_group += [group] * self.per_edge
+            table_rows = list(_clique_table(level)[0])
+            self.node_row = table_rows[:1] * self.n_corners + table_rows[1:-1] * n_edges
             return
         self.x, self.y, heads, dist, w, bounds = window.level_one
         w = ctx.w.take(w)
@@ -360,18 +353,15 @@ class _SteinerGraph:
             bounds = kept.searchsorted(bounds)
             heads, dist, w = heads.take(kept), dist.take(kept), w.take(kept)
         w *= dist
-        self.heads, self.costs, self.bounds = heads, w, bounds.tolist()
-        if self.n_corners <= _LIST_SEARCH_MAX_CORNERS:
-            self.search, self.corners = "list", range(self.n_corners)
-            self.heads, self.costs = heads.tolist(), w.tolist()
+        self.search, self.corners = "list", range(self.n_corners)
+        self.heads, self.costs, self.bounds = heads.tolist(), w.tolist(), bounds.tolist()
 
     def shortest(self, si: int, ti: int) -> Tuple[float, List[int], int]:
         """The search's cost, node path with its edge runs merged, and settles."""
         if self.search == "list":
             cost, path, settled = _list_search(len(self.x), si, ti, self._rows)
         else:
-            arcs = self._arcs if self.per_edge > 1 else self._level_one_arcs
-            cost, path, settled = _frontier_search(len(self.x), si, ti, arcs)
+            cost, path, settled = _frontier_search(len(self.x), si, ti, self._arcs)
         return cost, self._merge_edge_runs(path), settled
 
     def _rows(self, u: int) -> tuple:
@@ -381,14 +371,6 @@ class _SteinerGraph:
         clique = (self.heads[lo:hi], self.costs[lo:hi])
         if u < self.n_corners:
             return ((self.corners, self.hop_matrix[u].tolist()), clique)
-        return (clique,)
-
-    def _level_one_arcs(self, u: int, d: float) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-        """_rows for the dense search: the candidates of u settled at d."""
-        lo, hi = self.bounds[u], self.bounds[u + 1]
-        clique = (self.heads[lo:hi], self.costs[lo:hi] + d)
-        if u < self.n_corners:
-            return ((self.corner_heads, d + self.hop_matrix[u]), clique)
         return (clique,)
 
     def _arcs(self, u: int, d: float) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:

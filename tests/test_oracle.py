@@ -516,27 +516,19 @@ def graph_arcs(graph, u, d):
     search the graph is built for."""
     if graph.search == "list":
         return [(np.array(heads), d + np.array(costs)) for heads, costs in graph._rows(u)]
-    if graph.per_edge == 1:
-        return graph._level_one_arcs(u, d)
     return graph._arcs(u, d)
 
 
-def level_one_graphs(ctx, monkeypatch):
-    """The level-1 graph of ctx as the list search takes it, then as the
-    dense frontier does, forced by a corner bound of 0."""
-    listed = oracle._SteinerGraph(ctx, 1)
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "_LIST_SEARCH_MAX_CORNERS", 0)
-        dense = oracle._SteinerGraph(ctx, 1)
-    assert (listed.search, dense.search) == ("list", "dense")
-    return listed, dense
+def graph_groups(graph):
+    """How many groups of clique heads the graph holds."""
+    return len(graph.bounds) - 1 if graph.search == "list" else len(graph.groups)
 
 
 def sliced_arcs(ctx, level):
     """Every node's arcs at d by the flat layout of the finite cells: its
     group's run of the groups laid end to end, found by divmod, priced from
     table row step + 1 (row 0 for a corner), after the corner's hop row."""
-    _, _, heads, idx, w, bounds, _, _ = oracle._steiner_layout(ctx.window, level, ctx.finite_rows)
+    _, _, heads, idx, w, bounds = oracle._steiner_layout(ctx.window, level, ctx.finite_rows)
     table = oracle._clique_table(level)[0]
     n_corners, per_edge = len(ctx.window.corner_heads), 2**level - 1
 
@@ -555,53 +547,51 @@ def sliced_arcs(ctx, level):
     return arcs, len(bounds) - 1
 
 
-def arc_pairs(blocks, u):
-    """Node u's (head, candidate) pairs, but those to u itself: a search
-    never writes them, and where a corner is its own head through cells of
-    which one is blocked, the layout of every cell can keep the blocked
-    cell's copy, dropped at infinite weight, and the finite cells' layout
-    the finite one's."""
+def arc_pairs(blocks, u, level):
+    """Node u's (head, candidate) pairs, at level 1 but those to u itself: a
+    search never writes them, and where a corner is its own head through
+    cells of which one is blocked, level 1's layout of every cell can keep
+    the blocked cell's copy, dropped at infinite weight, and the finite
+    cells' layout the finite one's."""
     return sorted(
-        (int(v), float(c)) for heads, cands in blocks for v, c in zip(heads, cands) if v != u
+        (int(v), float(c))
+        for heads, cands in blocks
+        for v, c in zip(heads, cands)
+        if level > 1 or v != u
     )
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 @pytest.mark.parametrize("case", ["random-3x4-s10", "maze-5x5", "strip-3", "unreachable"])
-def test_steiner_arcs_match_the_sliced_layout(case, level, monkeypatch):
+def test_steiner_arcs_match_the_sliced_layout(case, level):
     tess, w, s, t = REFERENCE_CASES[case]()
     ctx = oracle._SolveContext(tess, w, s, t, level)
-    if level == 1:
-        graphs = level_one_graphs(ctx, monkeypatch)
-    else:
-        graphs = (oracle._SteinerGraph(ctx, level),)
+    graph = oracle._SteinerGraph(ctx, level)
     want, n_groups = sliced_arcs(ctx, level)
-    for graph in graphs:
-        n_corners, n_nodes = graph.n_corners, len(graph.x)
-        assert n_nodes > n_corners and n_groups == n_corners + len(graph.edges)
-        for u in range(n_nodes):
-            for d in (0.0, 0.1):
-                got = graph_arcs(graph, u, d)
-                assert arc_pairs(got, u) == arc_pairs(want(u, d), u)
-                assert len(got) == 1 + (u < n_corners)
+    n_corners, n_nodes = graph.n_corners, len(graph.x)
+    assert n_nodes > n_corners
+    assert graph_groups(graph) == n_groups == n_corners + len(graph.edges)
+    for u in range(n_nodes):
+        for d in (0.0, 0.1):
+            got = graph_arcs(graph, u, d)
+            assert arc_pairs(got, u, level) == arc_pairs(want(u, d), u, level)
+            assert len(got) == 1 + (u < n_corners)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-def test_steiner_groups_hold_intp_heads_and_columns(case, level, monkeypatch):
+def test_steiner_groups_hold_intp_heads_and_columns(case, level):
     # a settle gathers its table row through the columns and the kernel
     # indexes its distances by the heads: an int32 array would be cast to
     # intp on every settle, which made a level-7 settle about 6% slower.
     # The list search's arcs are Python ints and floats, not numpy scalars.
     tess, w, s, t = REFERENCE_CASES[case]()
     ctx = oracle._SolveContext(tess, w, s, t, level)
-    if level == 1:
-        listed, dense = level_one_graphs(ctx, monkeypatch)
-        assert listed.heads and all(type(v) is int for v in listed.heads)
-        assert all(type(c) is float for c in listed.costs)
-        assert dense.heads.dtype == np.intp and dense.costs.dtype == np.float64
-        return
     graph = oracle._SteinerGraph(ctx, level)
+    if level == 1:
+        assert graph.heads and all(type(v) is int for v in graph.heads)
+        assert all(type(c) is float for c in graph.costs)
+        return
     assert graph.groups
     for heads, idx, _ in graph.groups:
         assert heads.dtype == np.intp and idx.dtype == np.intp
@@ -649,90 +639,6 @@ def test_window_layout_prices_the_finite_cells_arcs(rows, cols, blocked, seed, l
     else:
         got = approx_shortest_path(tess, w, s, t, level=level)
         assert (got.cost, got.path) == (want_cost, want_path)
-
-
-def level_one_reports(tess, w, s, t):
-    """repr of level-1 SP and of ratio_report(max_level=2) and the searches
-    that settled each level, from the module logger's DEBUG lines."""
-    records = []
-
-    class Searches(logging.Handler):
-        def emit(self, record):
-            if " search, " in record.getMessage():
-                records.append(record.getMessage().split(",")[0])
-
-    handler = Searches(logging.DEBUG)
-    logger = logging.getLogger("trigrid.oracle")
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.DEBUG)
-    try:
-        out = []
-        for solve in (
-            lambda: approx_shortest_path(tess, w, s, t, level=1),
-            lambda: ratio_report(tess, w, s, t, max_level=2),
-        ):
-            try:
-                out.append(repr(solve()))
-            except UnreachableError as exc:
-                out.append(repr(exc))
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-    return out, records
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 9),
-    st.integers(1, 9),
-    st.floats(0.0, 1.0),
-    st.integers(0, 2**31 - 1),
-)
-def test_list_and_dense_level_one_searches_report_alike(rows, cols, blocked, seed):
-    # every window here has at most 55 corners, under the bound; a bound of
-    # 0 sends level 1 to the dense frontier, and nothing reported changes
-    tess, w = random_instance(seed, rows, cols, inf_prob=blocked)
-    s, t = endpoints(tess)
-    listed, searches = level_one_reports(tess, w, s, t)
-    assert searches[0] == "level 1: list search"
-    original = oracle._LIST_SEARCH_MAX_CORNERS
-    oracle._LIST_SEARCH_MAX_CORNERS = 0
-    try:
-        dense, searches = level_one_reports(tess, w, s, t)
-    finally:
-        oracle._LIST_SEARCH_MAX_CORNERS = original
-    assert searches[0] == "level 1: dense search"
-    assert set(searches) <= {"level 0: dense search", "level 1: dense search", "level 2: dense search"}
-    assert listed == dense
-
-
-def test_level_one_takes_the_dense_frontier_over_the_corner_bound(monkeypatch):
-    calls = []
-
-    def counted(name):
-        search = getattr(oracle, name)
-
-        def run(*args):
-            calls.append(name)
-            return search(*args)
-
-        return run
-
-    for name in ("_list_search", "_frontier_search"):
-        monkeypatch.setattr(oracle, name, counted(name))
-    inst = gen_random(12, 12, seed=3)  # 91 corners
-    tess, w = inst.tessellation, inst.weights
-    assert len(tess.corners) > oracle._LIST_SEARCH_MAX_CORNERS
-    wide = approx_shortest_path(tess, w, inst.source, inst.target, level=1)
-    assert calls == ["_frontier_search"]
-    calls.clear()
-    monkeypatch.setattr(oracle, "_LIST_SEARCH_MAX_CORNERS", len(tess.corners))
-    assert approx_shortest_path(tess, w, inst.source, inst.target, level=1) == wide
-    assert calls == ["_list_search"]
-    calls.clear()
-    approx_shortest_path(tess, w, inst.source, inst.target, level=2)
-    assert calls == ["_frontier_search"]
 
 
 def test_solves_leave_the_shared_level_one_layout_unchanged():
